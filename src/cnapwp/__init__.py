@@ -21,7 +21,7 @@ from .baselines import (
     run_conditions,
     run_prompt_function_comparison,
 )
-from .engine import EngineConfig, OnlineEngine, RunReport, StrategySpec, run_on_validation, run_session
+from .engine import EngineConfig, OnlineEngine, RunReport, StrategySpec, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
 from .stream import DriftSchedule, Event, EventStream, generate_drift_stream, parse_event_log, split_validation
 from .synthetic import builtin_processes, sample_pool
@@ -51,7 +51,6 @@ __all__ = [
     "parse_event_log",
     "run_ablation",
     "run_conditions",
-    "run_on_validation",
     "run_prompt_function_comparison",
     "run_session",
     "sample_pool",

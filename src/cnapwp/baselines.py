@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .engine import (
     ALL_MEMORY,
@@ -22,6 +22,7 @@ from .engine import (
     StrategySpec,
     run_session,
 )
+from .errors import ConfigurationError
 from .model import PREFIX_MODE, PROMPT_MODE
 from .stream import EventStream
 
@@ -56,15 +57,26 @@ def worker_cap(requested: int | None = None) -> int:
     cap = os.cpu_count() or 1
     env = os.environ.get("CNAPWP_THREADS", "").strip()
     if env:
-        cap = min(cap, max(1, int(env)))
+        try:
+            cap = min(cap, max(1, int(env)))
+        except ValueError:
+            raise ConfigurationError(f"CNAPWP_THREADS={env!r} is not an integer") from None
     if requested is not None:
         cap = min(cap, max(1, requested))
     return max(1, cap)
 
 
-def _run_job(job: tuple[str, EventStream, EngineConfig, StrategySpec]) -> tuple[str, RunReport]:
-    name, stream, config, strategy = job
-    return name, run_session(stream, config, strategy)
+def map_jobs(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
+    """``fn(*job)`` for every job, results in job order.
+
+    Runs in this process when ``min(workers, len(jobs)) <= 1``, otherwise in
+    a process pool of that width.
+    """
+    width = min(workers, len(jobs))
+    if width <= 1:
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def run_conditions(
@@ -74,14 +86,8 @@ def run_conditions(
     max_workers: int | None = None,
 ) -> dict[str, RunReport]:
     """Run every condition on the same stream, in parallel when workers allow."""
-    jobs = [(name, stream, config, strategy) for name, strategy in conditions.items()]
-    workers = worker_cap(max_workers)
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_run_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_run_job, jobs))
-    return dict(results)
+    jobs = [(stream, config, strategy) for strategy in conditions.values()]
+    return dict(zip(conditions, map_jobs(run_session, jobs, worker_cap(max_workers))))
 
 
 def run_ablation(
@@ -94,15 +100,6 @@ def run_prompt_function_comparison(
     stream: EventStream, config: EngineConfig, max_workers: int | None = None
 ) -> dict[str, RunReport]:
     """The full predictor with key/value prompt rows versus input-token prompt rows."""
-    jobs = {
-        "prefix": (replace(config, prompt_mode=PREFIX_MODE), CNAPWP),
-        "prompt": (replace(config, prompt_mode=PROMPT_MODE), CNAPWP),
-    }
-    workers = worker_cap(max_workers)
-    packed = [(name, stream, cfg, strat) for name, (cfg, strat) in jobs.items()]
-    if workers <= 1:
-        results = [_run_job(job) for job in packed]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(packed))) as pool:
-            results = list(pool.map(_run_job, packed))
-    return dict(results)
+    modes = {"prefix": PREFIX_MODE, "prompt": PROMPT_MODE}
+    jobs = [(stream, replace(config, prompt_mode=mode), CNAPWP) for mode in modes.values()]
+    return dict(zip(modes, map_jobs(run_session, jobs, worker_cap(max_workers))))

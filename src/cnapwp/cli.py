@@ -19,15 +19,14 @@ import json
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .baselines import ABLATION_CONDITIONS, STRATEGIES, worker_cap
-from .engine import EngineConfig, RunReport, run_on_validation, run_session
+from .baselines import ABLATION_CONDITIONS, STRATEGIES, map_jobs, worker_cap
+from .engine import EngineConfig, RunReport, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
-from .metrics import forgetting_matrix, read_records_csv, rolling_accuracy_curve
+from .metrics import average_accuracy, forgetting_matrix, read_records_csv, rolling_accuracy_curve
 from .plots import accuracy_curve_svg, forgetting_heatmap_svg
 from .stream import (
     DriftSchedule,
@@ -248,13 +247,13 @@ def cmd_run(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _sweep_job(job):
-    params, stream, config, strategy = job
-    report = run_on_validation(stream, config, strategy)
-    return params, {
-        "average_accuracy": report.summary()["average_accuracy"],
-        "events": len(report.records),
-    }
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} {text!r} is not a comma-separated list of {kind.__name__} values"
+        ) from None
 
 
 def cmd_sweep(args) -> int:
@@ -262,11 +261,15 @@ def cmd_sweep(args) -> int:
     strategy = _resolve_strategy(args.strategy)
     stream, drift_source = _load_stream(args)
     _require_drift_info(strategy.name, drift_source)
-    windows = [int(t) for t in args.window.split(",")]
-    buffers = [int(t) for t in args.buffer.split(",")]
-    thresholds = [float(t) for t in args.threshold.split(",")]
+    windows = _parse_list(args.window, int, "--window")
+    buffers = _parse_list(args.buffer, int, "--buffer")
+    thresholds = _parse_list(args.threshold, float, "--threshold")
+    workers = worker_cap(args.workers)
     outdir = _prepare_outdir(Path(args.out), args.force)
-    grid = list(itertools.product(windows, buffers, thresholds))
+    grid = [
+        {"window_size": window, "buffer_size": buffer, "threshold": threshold}
+        for window, buffer, threshold in itertools.product(windows, buffers, thresholds)
+    ]
     _write_manifest(
         outdir,
         "sweep",
@@ -280,19 +283,13 @@ def cmd_sweep(args) -> int:
             "engine": dataclasses.asdict(base),
         },
     )
-    jobs = []
-    for window, buffer, threshold in grid:
-        params = {"window_size": window, "buffer_size": buffer, "threshold": threshold}
-        cfg = dataclasses.replace(base, **params)
-        jobs.append((params, stream, cfg, strategy))
-    workers = worker_cap(args.workers)
+    jobs = [(stream, dataclasses.replace(base, **params), strategy, True) for params in grid]
     t0 = time.perf_counter()
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_sweep_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    rows = [{"params": params, **stats} for params, stats in results]
+    reports = map_jobs(run_session, jobs, workers)
+    rows = [
+        {"params": p, "average_accuracy": average_accuracy(r.records), "events": len(r.records)}
+        for p, r in zip(grid, reports)
+    ]
     rows.sort(key=lambda r: (-r["average_accuracy"], r["params"]["window_size"]))
     best = rows[0]
     aggregate = {
@@ -316,12 +313,6 @@ def cmd_sweep(args) -> int:
 # -- ablate -----------------------------------------------------------------------
 
 
-def _ablate_job(job):
-    name, seed, stream, config, strategy = job
-    report = run_session(stream, config, strategy)
-    return name, seed, report
-
-
 def cmd_ablate(args) -> int:
     base = load_engine_config(args.config, args.set)
     names = [n.strip() for n in args.conditions.split(",") if n.strip()]
@@ -335,7 +326,8 @@ def cmd_ablate(args) -> int:
             raise ConfigurationError(
                 f"unknown condition {name!r}; choose from {sorted(set(ABLATION_CONDITIONS) | set(STRATEGIES))}"
             )
-    seeds = [int(t) for t in args.seeds.split(",")]
+    seeds = _parse_list(args.seeds, int, "--seeds")
+    workers = worker_cap(args.workers)
     stream, drift_source = _load_stream(args)
     for name, strategy in conditions.items():
         _require_drift_info(strategy.name, drift_source)
@@ -351,21 +343,13 @@ def cmd_ablate(args) -> int:
             "engine": dataclasses.asdict(base),
         },
     )
-    jobs = []
-    for name, strategy in conditions.items():
-        for seed in seeds:
-            cfg = dataclasses.replace(base, seed=seed)
-            jobs.append((name, seed, stream, cfg, strategy))
-    workers = worker_cap(args.workers)
+    keys = list(itertools.product(conditions, seeds))
+    jobs = [(stream, dataclasses.replace(base, seed=seed), conditions[name]) for name, seed in keys]
     t0 = time.perf_counter()
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_ablate_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_ablate_job, jobs))
+    reports = map_jobs(run_session, jobs, workers)
 
     per_condition: dict[str, list[RunReport]] = {name: [] for name in conditions}
-    for name, seed, report in results:
+    for (name, seed), report in zip(keys, reports):
         report.save(outdir / name / f"seed{seed}")
         per_condition[name].append(report)
     aggregate = {"seeds": seeds, "conditions": {}, "wall_time_s": time.perf_counter() - t0}

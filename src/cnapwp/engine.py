@@ -330,7 +330,7 @@ class OnlineEngine:
             return
         if strat.reinit_on_update:
             self._reinit_model()
-        batches = partition_batches(samples, self.bucket_config, self.config.batch_size)
+        batches = partition_batches(samples, self.config.batch_size)
         expert = self.tasks[self.active_task_id].prompts if strat.use_expert else None
         train_window(
             self.model,
@@ -432,39 +432,29 @@ class RunReport:
             fh.write("\n")
 
 
-def run_session(stream: EventStream, config: EngineConfig, strategy: StrategySpec) -> RunReport:
-    """Warm up on the leading validation split, then measure on the remainder."""
+def run_session(
+    stream: EventStream, config: EngineConfig, strategy: StrategySpec, validation_only: bool = False
+) -> RunReport:
+    """Warm up on the leading validation split, then measure on the remainder.
+
+    With ``validation_only`` the run prepares on and records the validation
+    split itself, with no warm-up pass; tuning sweeps use it so the measured
+    remainder never leaks into configuration choices.
+    """
     t0 = time.perf_counter()
     warm, measured = split_validation(stream, config.validation_fraction)
     engine = OnlineEngine(config, strategy)
     engine.prepare(warm)
-    engine.consume(warm, record=False)
+    if validation_only:
+        measured = warm
+    else:
+        engine.consume(warm, record=False)
     records = engine.consume(measured, record=True)
     return RunReport(
         strategy=strategy.name,
         records=records,
         drift_indices=measured.drift_indices,
         task_labels=measured.task_labels,
-        curve_window=config.curve_window or config.window_size,
-        task_store=engine.task_store_snapshot(),
-        config=config,
-        total_runtime_s=time.perf_counter() - t0,
-    )
-
-
-def run_on_validation(stream: EventStream, config: EngineConfig, strategy: StrategySpec) -> RunReport:
-    """Prepare on and measure over only the validation split; used for tuning
-    sweeps so the measured remainder never leaks into configuration choices."""
-    t0 = time.perf_counter()
-    warm, _ = split_validation(stream, config.validation_fraction)
-    engine = OnlineEngine(config, strategy)
-    engine.prepare(warm)
-    records = engine.consume(warm, record=True)
-    return RunReport(
-        strategy=strategy.name,
-        records=records,
-        drift_indices=warm.drift_indices,
-        task_labels=warm.task_labels,
         curve_window=config.curve_window or config.window_size,
         task_store=engine.task_store_snapshot(),
         config=config,

@@ -282,9 +282,6 @@ class AttentionPredictor:
     def classifier_parameters(self) -> list[Parameter]:
         return [self.cls_w, self.cls_b]
 
-    def named_parameters(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.parameters()}
-
     # -- forward / backward ------------------------------------------------
 
     def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[tuple[str, PromptBlock]]:

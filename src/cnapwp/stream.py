@@ -13,7 +13,7 @@ import io
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -64,18 +64,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def segment_bounds(self) -> list[tuple[int, int]]:
-        """[(start, end)) pairs, one per segment."""
-        starts = [0, *self.drift_indices]
-        ends = [*self.drift_indices, len(self.events)]
-        return list(zip(starts, ends))
-
-    def task_label_at(self, index: int) -> str | None:
-        if self.task_labels is None:
-            return None
-        seg = sum(1 for d in self.drift_indices if d <= index)
-        return self.task_labels[seg]
 
 
 @dataclass(frozen=True)
@@ -160,7 +148,7 @@ def _parse_rows(reader, schema: LogSchema) -> EventStream:
 
     rows: list[tuple[object, Event, bool]] = []  # (timestamp, event, drift flag)
     excluded: set[str] = set()
-    ts_kind: type | None = None
+    ts_kind: tuple[type, bool] | None = None  # (timestamp type, tz-aware)
     for line_no, raw in enumerate(reader, start=2):
         if not raw:
             continue
@@ -175,10 +163,13 @@ def _parse_rows(reader, schema: LogSchema) -> EventStream:
             excluded.add(case)
             continue
         ts = _parse_timestamp(ts_text, line_no)
+        kind = (type(ts), isinstance(ts, datetime) and ts.utcoffset() is not None)
         if ts_kind is None:
-            ts_kind = type(ts)
-        elif type(ts) is not ts_kind:
+            ts_kind = kind
+        elif kind[0] is not ts_kind[0]:
             raise StreamParseError("mixed integer-tick and ISO-8601 timestamps", line_no)
+        elif kind != ts_kind:
+            raise StreamParseError("mixed timezone-aware and naive ISO-8601 timestamps", line_no)
         resource = raw[i_res] if i_res is not None and raw[i_res] else None
         drift = i_drift is not None and raw[i_drift].strip().lower() in _TRUTHY
         rows.append((ts, Event(case, activity, resource), drift))

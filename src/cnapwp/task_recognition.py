@@ -9,7 +9,7 @@ prompts) is reactivated, otherwise a new task is created.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError
 from .stream import Event
@@ -69,30 +69,39 @@ class PrefixTree:
     def path_set(self) -> frozenset[tuple[str, ...]]:
         """All non-empty root paths in the tree."""
         paths: list[tuple[str, ...]] = []
-
-        def walk(node: _Node, path: tuple[str, ...]):
+        stack = [(self._root, ())]
+        while stack:
+            node, path = stack.pop()
             for label, child in node.children.items():
                 extended = path + (label,)
                 paths.append(extended)
-                walk(child, extended)
-
-        walk(self._root, ())
+                stack.append((child, extended))
         return frozenset(paths)
 
     def node_count(self) -> int:
-        def count(node: _Node) -> int:
-            return sum(1 + count(child) for child in node.children.values())
-
-        return count(self._root)
+        return _size_below(self._root)
 
     def to_dict(self) -> dict:
-        def dump(node: _Node) -> list[dict]:
-            return [
-                {"activity": child.label, "frequency": child.frequency, "children": dump(child)}
-                for child in node.children.values()
-            ]
+        """Nested ``{activity, frequency, children}`` entries, children in insertion order."""
+        paths: list[dict] = []
+        stack = [(self._root, paths)]
+        while stack:
+            node, out = stack.pop()
+            for child in node.children.values():
+                entry = {"activity": child.label, "frequency": child.frequency, "children": []}
+                out.append(entry)
+                stack.append((child, entry["children"]))
+        return {"event_count": self.event_count, "paths": paths}
 
-        return {"event_count": self.event_count, "paths": dump(self._root)}
+
+def _size_below(node: _Node) -> int:
+    """Number of nodes strictly below ``node``."""
+    count, stack = 0, [node]
+    while stack:
+        children = stack.pop().children
+        count += len(children)
+        stack.extend(children.values())
+    return count
 
 
 @dataclass
@@ -135,10 +144,6 @@ def build_from_buffer(buffer: TaskBuffer) -> PrefixTree:
     return tree
 
 
-def path_set(tree: PrefixTree) -> frozenset[tuple[str, ...]]:
-    return tree.path_set()
-
-
 def dissimilarity(new: PrefixTree, stored: PrefixTree) -> float:
     """Share of the new tree's root paths that the stored tree lacks.
 
@@ -148,20 +153,17 @@ def dissimilarity(new: PrefixTree, stored: PrefixTree) -> float:
     if new.is_empty:
         raise ConfigurationError("dissimilarity undefined for an empty new tree")
 
-    def subtree_size(node: _Node) -> int:
-        return 1 + sum(subtree_size(child) for child in node.children.values())
-
-    def missing(new_node: _Node, stored_node: _Node) -> int:
-        total = 0
+    missing = 0
+    stack = [(new._root, stored._root)]
+    while stack:
+        new_node, stored_node = stack.pop()
         for label, child in new_node.children.items():
             match = stored_node.children.get(label)
             if match is None:
-                total += subtree_size(child)
+                missing += 1 + _size_below(child)
             else:
-                total += missing(child, match)
-        return total
-
-    return missing(new._root, stored._root) / new.node_count()
+                stack.append((child, match))
+    return missing / new.node_count()
 
 
 def match_task(new_tree: PrefixTree, store: Sequence[TaskRecord], threshold: float) -> int | None:

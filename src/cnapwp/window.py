@@ -6,7 +6,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import ConfigurationError
-from .preprocessing import BucketConfig, EncodedSample, assign_bucket
+from .preprocessing import EncodedSample
 from .stream import Event
 
 
@@ -58,25 +58,16 @@ class SlidingWindow:
     def samples(self) -> list[EncodedSample]:
         return [sample for _, sample in self._buffer if sample is not None]
 
-    @property
-    def events_since_update(self) -> int:
-        return self._since_update
-
 
 def partition_batches(
-    samples: list[EncodedSample] | SlidingWindow,
-    bucket_config: BucketConfig,
-    batch_size: int,
+    samples: list[EncodedSample], batch_size: int
 ) -> list[tuple[int, list[list[EncodedSample]]]]:
-    """Group samples by bucket (ascending id), keeping arrival order, in chunks <= batch_size."""
+    """Group samples by their encoded bucket (ascending id), keeping arrival order, in chunks <= batch_size."""
     if batch_size < 1:
         raise ConfigurationError("batch_size must be >= 1")
-    if isinstance(samples, SlidingWindow):
-        samples = samples.samples()
     groups: dict[int, list[EncodedSample]] = {}
     for sample in samples:
-        bucket = assign_bucket(sample.effective_len, bucket_config)
-        groups.setdefault(bucket, []).append(sample)
+        groups.setdefault(sample.bucket, []).append(sample)
     out = []
     for bucket in sorted(groups):
         members = groups[bucket]

@@ -7,11 +7,13 @@ session; everything else is self-contained and fast.
 """
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cnapwp.baselines import ABLATION_CONDITIONS, STRATEGIES
+from cnapwp.cli import load_engine_config
 from cnapwp.engine import EngineConfig, run_session
 from cnapwp.metrics import accuracy_at_index, average_accuracy, forgetting_matrix
 from cnapwp.model import (
@@ -31,6 +33,7 @@ from cnapwp.task_recognition import PrefixTree, dissimilarity
 from gradcheck import gradient_errors
 
 SEEDS = (7, 11, 23, 31, 47)
+RECURRENT_INI = Path(__file__).resolve().parents[1] / "configs" / "recurrent.ini"
 CONCEPTS = ("pipeline", "expedite", "review_loop")
 
 
@@ -49,21 +52,7 @@ def recurrent_stream(seed: int):
 
 
 def recurrent_config(seed: int) -> EngineConfig:
-    return EngineConfig(
-        window_size=250,
-        buffer_size=50,
-        threshold=0.6,
-        buckets=2,
-        max_len=10,
-        lr=0.02,
-        epochs=12,
-        prompt_len=1,
-        heads=8,
-        dropout=0.1,
-        general_layers=(1,),
-        prompt_mode=PROMPT_MODE,
-        seed=seed,
-    )
+    return load_engine_config(str(RECURRENT_INI), [f"seed={seed}"])
 
 
 @pytest.fixture(scope="session")

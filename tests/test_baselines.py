@@ -11,12 +11,14 @@ from cnapwp.baselines import (
     LAST_DRIFT,
     NO_PROMPT,
     STRATEGIES,
+    map_jobs,
     run_ablation,
     run_conditions,
     run_prompt_function_comparison,
     worker_cap,
 )
-from cnapwp.engine import ALL_MEMORY, SINCE_DRIFT_MEMORY, WINDOW_MEMORY, OnlineEngine
+from cnapwp.engine import ALL_MEMORY, SINCE_DRIFT_MEMORY, WINDOW_MEMORY, OnlineEngine, run_session
+from cnapwp.errors import ConfigurationError
 from cnapwp.model import PREFIX_MODE, PROMPT_MODE
 
 
@@ -54,6 +56,21 @@ def test_worker_cap(monkeypatch):
     assert worker_cap() == 1
     monkeypatch.setenv("CNAPWP_THREADS", str(cpus + 5))
     assert worker_cap() == cpus
+    monkeypatch.setenv("CNAPWP_THREADS", "abc")
+    with pytest.raises(ConfigurationError, match="CNAPWP_THREADS"):
+        worker_cap()
+
+
+def test_map_jobs_pool_matches_serial(tiny_stream, small_config):
+    jobs = [(tiny_stream, small_config, strategy) for strategy in (CNAPWP, NO_PROMPT, LAST_DRIFT)]
+    strip = lambda report: [
+        (r.index, r.case_id, r.y, r.y_hat, r.correct, r.task_id, r.buffering) for r in report.records
+    ]
+    serial = map_jobs(run_session, jobs, workers=1)
+    pooled = map_jobs(run_session, jobs, workers=2)
+    assert [r.strategy for r in pooled] == ["cnapwp", "no_prompt", "last_drift"]
+    assert [strip(r) for r in pooled] == [strip(r) for r in serial]
+    assert [r.task_store for r in pooled] == [r.task_store for r in serial]
 
 
 def test_reinit_rebuilds_the_backbone_from_seed(tiny_stream, small_config):
@@ -92,8 +109,6 @@ def test_prompt_function_comparison_sets_both_modes(tiny_stream, small_config):
 
 
 def test_condition_runs_match_single_runs(tiny_stream, small_config):
-    from cnapwp.engine import run_session
-
     grouped = run_conditions(tiny_stream, small_config, {"full": CNAPWP}, max_workers=1)
     solo = run_session(tiny_stream, small_config, CNAPWP)
     strip = lambda r: (r.index, r.y, r.y_hat, r.correct, r.task_id, r.buffering)

@@ -324,6 +324,28 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         assert stats["accuracy_std"] == pytest.approx(std, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["sweep", "--window", "abc"], None),
+        (["sweep", "--buffer", "8,x"], None),
+        (["sweep", "--threshold", "high"], None),
+        (["sweep", "--window", "20"], "abc"),
+        (["ablate", "--seeds", "1,x"], None),
+        (["ablate", "--seeds", "1"], "abc"),
+    ],
+)
+def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CNAPWP_THREADS", env)
+    out = tmp_path / "never"
+    code = main(argv + ["--stream", str(gen_dir / "stream.csv"), "--out", str(out)] + FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ablate_unknown_condition_exits_2(gen_dir, tmp_path, capsys):
     code = main(["ablate", "--stream", str(gen_dir / "stream.csv"),
                  "--out", str(tmp_path / "o"), "--conditions", "bogus"])

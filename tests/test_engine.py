@@ -10,7 +10,6 @@ from cnapwp.engine import (
     OnlineEngine,
     RunReport,
     StrategySpec,
-    run_on_validation,
     run_session,
 )
 from cnapwp.errors import ConfigurationError
@@ -200,7 +199,7 @@ def test_run_session_measures_the_later_split(tiny_stream, small_config):
 
 
 def test_run_on_validation_measures_the_leading_split(tiny_stream, small_config):
-    report = run_on_validation(tiny_stream, small_config, CNAPWP)
+    report = run_session(tiny_stream, small_config, CNAPWP, validation_only=True)
     assert len(report.records) == 36
     assert report.drift_indices == ()
     assert report.task_labels == ("alpha",)

@@ -58,6 +58,17 @@ def test_parse_rejects_mixed_timestamp_kinds():
     assert exc.value.line == 3
 
 
+def test_parse_rejects_mixed_aware_and_naive_timestamps():
+    with pytest.raises(StreamParseError) as exc:
+        parse_text(
+            "case_id,activity,timestamp\n"
+            "c1,a,2024-01-01T00:00:00+00:00\n"
+            "c1,b,2024-01-01T00:00:01+02:00\n"
+            "c1,c,2024-01-02T00:00:00\n"
+        )
+    assert exc.value.line == 4
+
+
 def test_parse_rejects_unparseable_timestamp():
     with pytest.raises(StreamParseError):
         parse_text("case_id,activity,timestamp\nc1,a,not-a-time\n")
@@ -205,20 +216,6 @@ def test_stream_rejects_label_count_mismatch():
     events = tuple(Event("c", "a") for _ in range(5))
     with pytest.raises(ConfigurationError):
         EventStream(events, (2,), ("only_one",))
-
-
-def test_segment_bounds():
-    events = tuple(Event("c", "a") for _ in range(10))
-    stream = EventStream(events, (4, 7))
-    assert stream.segment_bounds() == [(0, 4), (4, 7), (7, 10)]
-
-
-def test_task_label_at():
-    events = tuple(Event("c", "a") for _ in range(9))
-    stream = EventStream(events, (3, 6), ("p", "q", "r"))
-    assert [stream.task_label_at(i) for i in range(9)] == [
-        "p", "p", "p", "q", "q", "q", "r", "r", "r",
-    ]
 
 
 # -- serialization ----------------------------------------------------------------

@@ -154,6 +154,31 @@ def test_build_from_buffer_groups_by_case():
     assert tree.path_set() == tree_of("abc", "xy").path_set()
 
 
+def test_traversals_handle_paths_deeper_than_the_recursion_limit():
+    depth = 3000
+    deep = PrefixTree()
+    for i in range(depth):
+        deep.extend_case("c1", "ab"[i % 2])
+    assert deep.node_count() == depth
+    assert len(deep.path_set()) == depth
+    level, levels = deep.to_dict()["paths"], 0
+    while level:
+        assert [entry["activity"] for entry in level] == ["ab"[levels % 2]]
+        level, levels = level[0]["children"], levels + 1
+    assert levels == depth
+    assert dissimilarity(deep, deep) == 0.0
+    assert dissimilarity(deep, tree_of("ab")) == (depth - 2) / depth
+    assert dissimilarity(deep, tree_of("x")) == 1.0
+
+
+def test_to_dict_keeps_child_insertion_order():
+    tree = tree_of("ac", "ab", "b", "ad")
+    top = tree.to_dict()["paths"]
+    assert [entry["activity"] for entry in top] == ["a", "b"]
+    assert [entry["activity"] for entry in top[0]["children"]] == ["c", "b", "d"]
+    assert [entry["frequency"] for entry in top] == [3, 1]
+
+
 # -- matching --------------------------------------------------------------------
 
 

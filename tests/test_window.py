@@ -28,7 +28,6 @@ def test_eviction_does_not_reset_the_counter():
     window = SlidingWindow(4)
     for i in range(6):  # two evictions happen before the second signal
         window.push(Event("c", str(i)))
-    assert window.events_since_update == 2
     assert window.push(Event("c", "x")) is UpdateSignal.NONE
     assert window.push(Event("c", "y")) is UpdateSignal.WINDOW_FULL
 
@@ -75,40 +74,29 @@ def test_signal_cadence_property(capacity, n):
 # -- partitioning ---------------------------------------------------------------
 
 
-def _samples_with_lengths(lengths):
+def _samples_with_lengths(lengths, bucket_config):
     vocab = ActivityVocabulary(["a"])
     out = []
     for n in lengths:
         history = [Event("c", "a")] * n
         prefix = build_prefix(Event("c", "a"), history, vocab, max_len=8)
-        out.append(encode(prefix, "a", vocab, None))
+        out.append(encode(prefix, "a", vocab, bucket_config))
     return out
 
 
 def test_partition_orders_buckets_and_chunks():
     config = BucketConfig((0, 2, 8))
-    samples = _samples_with_lengths([3, 0, 1, 4, 2, 5])
-    batches = partition_batches(samples, config, batch_size=2)
+    samples = _samples_with_lengths([3, 0, 1, 4, 2, 5], config)
+    batches = partition_batches(samples, batch_size=2)
     assert [bucket for bucket, _ in batches] == [1, 2, 3]
     by_bucket = {bucket: [s.effective_len for chunk in chunks for s in chunk] for bucket, chunks in batches}
     assert by_bucket == {1: [0], 2: [1, 2], 3: [3, 4, 5]}  # arrival order within buckets
     assert all(len(chunk) <= 2 for _, chunks in batches for chunk in chunks)
 
 
-def test_partition_accepts_a_window():
-    vocab = ActivityVocabulary(["a"])
-    window = SlidingWindow(10)
-    for i in range(4):
-        prefix = build_prefix(Event("c", "a"), window, vocab, 4)
-        window.push(Event("c", "a"), encode(prefix, "a", vocab, None))
-    batches = partition_batches(window, BucketConfig((0, 4)), batch_size=3)
-    total = sum(len(chunk) for _, chunks in batches for chunk in chunks)
-    assert total == 4
-
-
 def test_partition_batch_size_validation():
     with pytest.raises(ConfigurationError):
-        partition_batches([], BucketConfig((0, 2)), 0)
+        partition_batches([], 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,8 +106,8 @@ def test_partition_batch_size_validation():
 )
 def test_partition_preserves_every_sample_once(lengths, batch_size):
     config = BucketConfig((0, 3, 8))
-    samples = _samples_with_lengths(lengths)
-    batches = partition_batches(samples, config, batch_size)
+    samples = _samples_with_lengths(lengths, config)
+    batches = partition_batches(samples, batch_size)
     flattened = [s for _, chunks in batches for chunk in chunks for s in chunk]
     assert sorted(map(id, flattened)) == sorted(map(id, samples))
     assert [b for b, _ in batches] == sorted({b for b, _ in batches})
