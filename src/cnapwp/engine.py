@@ -14,7 +14,6 @@ measured pass, so vocabulary, model, prompts, and task store carry over.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
 from collections import Counter
@@ -32,6 +31,7 @@ from .metrics import (
     time_per_event,
     write_accuracy_curve_csv,
     write_forgetting_csv,
+    write_json,
     write_records_csv,
     write_timings_csv,
 )
@@ -424,12 +424,8 @@ class RunReport:
         write_forgetting_csv(self.forgetting(), outdir / "forgetting.csv")
         curve = rolling_accuracy_curve(self.records, self.curve_window)
         write_accuracy_curve_csv(curve, outdir / "accuracy_curve.csv")
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(outdir / "task_store.json", "w") as fh:
-            json.dump(self.task_store, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.summary(), outdir / "summary.json")
+        write_json(self.task_store, outdir / "task_store.json")
 
 
 def run_session(

@@ -10,6 +10,7 @@ task assignments otherwise.
 from __future__ import annotations
 
 import csv
+import json
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -252,6 +253,47 @@ def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike | IO[str
         writer.writerow(("index", "accuracy"))
         for i, acc in enumerate(curve):
             writer.writerow((i, f"{acc:.6f}"))
+
+
+# -- json ---------------------------------------------------------------------
+
+_JSON_INDENT = "  "
+
+
+def write_json(obj, path: str | os.PathLike | IO[str]) -> None:
+    """Write ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a newline, without recursion.
+
+    The standard encoder recurses once per nesting level when indenting, so a
+    task tree holding one case path of ~500 events raised ``RecursionError``.
+    This walks an explicit stack of open containers and writes the same bytes.
+    """
+    with _opened(path) as fh:
+        # Each frame: pending (key, value) items, closing bracket, depth, whether one was written.
+        stack = [[iter(((None, obj),)), "", 0, False]]
+        while stack:
+            frame = stack[-1]
+            items, closer, depth, started = frame
+            item = next(items, None)
+            if item is None:
+                stack.pop()
+                if closer:
+                    fh.write("\n" + _JSON_INDENT * (depth - 1) + closer)
+                continue
+            frame[3] = True
+            if closer:
+                fh.write((",\n" if started else "\n") + _JSON_INDENT * depth)
+            key, value = item
+            if key is not None:  # non-string keys are written as the json text of the key, quoted
+                fh.write(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            if isinstance(value, dict) and value:
+                fh.write("{")
+                stack.append([iter(sorted(value.items())), "}", depth + 1, False])
+            elif isinstance(value, (list, tuple)) and value:
+                fh.write("[")
+                stack.append([((None, v) for v in value), "]", depth + 1, False])
+            else:
+                fh.write(json.dumps(value))
+        fh.write("\n")
 
 
 class _opened:

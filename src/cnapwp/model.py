@@ -199,10 +199,79 @@ class ForwardCache:
         self.layer_output_lengths: list[int] = []
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+# From about this many rows on, a Python loop over the columns of a short last
+# axis beats numpy's per-row reductions (a batch-25 attention softmax has
+# 2,600 rows of 10-13); below it, as in one-sample predictions and the
+# classifier head, the per-column calls cost more than they save.
+COLUMN_LOOP_MIN_ROWS = 512
+
+
+def _many_rows(x: np.ndarray) -> bool:
+    return x.size >= COLUMN_LOOP_MIN_ROWS * x.shape[-1] > 0
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``; on many rows, a running ``np.maximum`` over the columns.
+
+    The values are exact; only the sign of a zero maximum may differ from
+    numpy's, whose SIMD lanes order equal zeros differently.
+    """
+    if not _many_rows(x):
+        return x.max(axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit; on many C-contiguous rows, one column slice at a time.
+
+    numpy adds each contiguous row from an identity of 0.0 with its pairwise
+    scheme: below 8 entries in sequence; up to 128 in 8 interleaved partial
+    sums combined as a tree, then the leftover entries in sequence; longer rows
+    split in two halves whose length is a multiple of 8. Other layouts may be
+    reduced in another order, so they go to numpy.
+    """
+    if not (_many_rows(x) and x.flags.c_contiguous):
+        return x.sum(axis=-1)
+    n = x.shape[-1]
+    out = _pairwise_columns(x, 0, n)
+    if n >= 8:
+        out += 0.0  # the identity: turns a -0.0 total into +0.0
+    return out
+
+
+def _pairwise_columns(x: np.ndarray, start: int, n: int) -> np.ndarray:
+    if n < 8:
+        out = x[..., start] + 0.0
+        for j in range(start + 1, start + n):
+            out += x[..., j]
+        return out
+    if n <= 128:
+        end = start + n - n % 8
+        lanes = x[..., start : start + 8]
+        if end > start + 8:
+            lanes = lanes + x[..., start + 8 : start + 16]
+            for i in range(start + 16, end, 8):
+                lanes += x[..., i : i + 8]
+        pairs = lanes[..., 0::2] + lanes[..., 1::2]
+        out = pairs[..., 0] + pairs[..., 1]
+        out += pairs[..., 2] + pairs[..., 3]
+        for j in range(end, start + n):
+            out += x[..., j]
+        return out
+    half = n // 2
+    half -= half % 8
+    return _pairwise_columns(x, start, half) + _pairwise_columns(x, start + half, n - half)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, bit-identical to the plain numpy formulation."""
+    e = np.subtract(x, row_max(x)[..., np.newaxis])
+    np.exp(e, out=e)
+    e /= row_sum(e)[..., np.newaxis]
+    return e
 
 
 def attach_prefix(
@@ -349,7 +418,8 @@ class AttentionPredictor:
                 prepended = tokens.shape[0]
                 h = np.concatenate((np.broadcast_to(tokens, (batch, *tokens.shape)), h), axis=1)
             w, b = self.layers_qkv[layer]
-            proj = h @ w.value + b.value
+            proj = h @ w.value
+            proj += b.value
             d = self.d_model
             q, k, v = proj[..., :d], proj[..., d : 2 * d], proj[..., 2 * d :]
             if cfg.prompt_mode == PREFIX_MODE and sources:
@@ -363,16 +433,20 @@ class AttentionPredictor:
             qh = q.reshape(batch, t_q, cfg.heads, self.d_head).transpose(0, 2, 1, 3)
             kh = k_full.reshape(batch, t_k, cfg.heads, self.d_head).transpose(0, 2, 1, 3)
             vh = v_full.reshape(batch, t_k, cfg.heads, self.d_head).transpose(0, 2, 1, 3)
-            scores = (qh @ kh.swapaxes(-1, -2)) * scale
-            attn = softmax(scores, axis=-1)
-            out_h = attn @ vh
-            out = out_h.transpose(0, 2, 1, 3).reshape(batch, t_q, d)
+            scores = qh @ kh.swapaxes(-1, -2)
+            scores *= scale
+            attn = softmax(scores)
+            # The heads' outputs land merged, as (batch, t_q, heads, d_head).
+            out = np.empty((batch, t_q, cfg.heads, self.d_head))
+            np.matmul(attn, vh, out=out.swapaxes(1, 2))
+            out = out.reshape(batch, t_q, d)
             if not np.isfinite(out).all():
                 raise NumericError(f"non-finite activation in layer {layer}")
             mask = None
             if use_dropout:
-                mask = (rng.random(out.shape) >= cfg.dropout).astype(np.float64)
-                out = out * mask / (1.0 - cfg.dropout)
+                mask = rng.random(out.shape) >= cfg.dropout
+                out *= mask
+                out /= 1.0 - cfg.dropout
             if cache is not None:
                 cache.layers.append(
                     {
@@ -391,9 +465,11 @@ class AttentionPredictor:
             h = out
 
         flat = h.reshape(batch, -1)
-        dense_out = flat @ self.dense_w.value + self.dense_b.value
-        logits = dense_out @ self.cls_w.value + self.cls_b.value
-        probs = softmax(logits, axis=-1)
+        dense_out = flat @ self.dense_w.value
+        dense_out += self.dense_b.value
+        logits = dense_out @ self.cls_w.value
+        logits += self.cls_b.value
+        probs = softmax(logits)
         if not np.isfinite(probs).all():
             raise NumericError("non-finite probabilities in the classifier head")
         if cache is not None:
@@ -433,28 +509,38 @@ class AttentionPredictor:
         dh = d_flat.reshape(batch, self.final_seq_len, self.d_model)
 
         scale = 1.0 / math.sqrt(self.d_head)
+        heads, d_head, d = cfg.heads, self.d_head, self.d_model
         for layer in reversed(range(cfg.layers)):
             entry = cache.layers[layer]
             if entry["mask"] is not None:
-                dh = dh * entry["mask"] / (1.0 - cfg.dropout)
+                dh *= entry["mask"]
+                dh /= 1.0 - cfg.dropout
             t_q = dh.shape[1]
-            d_out_h = dh.reshape(batch, t_q, cfg.heads, self.d_head).transpose(0, 2, 1, 3)
+            d_out_h = dh.reshape(batch, t_q, heads, d_head).transpose(0, 2, 1, 3)
             attn, qh, kh, vh = entry["attn"], entry["qh"], entry["kh"], entry["vh"]
-            d_attn = d_out_h @ vh.swapaxes(-1, -2)
-            d_vh = attn.swapaxes(-1, -2) @ d_out_h
-            d_scores = (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * attn
-            d_qh = (d_scores @ kh) * scale
-            d_kh = (d_scores.swapaxes(-1, -2) @ qh) * scale
+            d_scores = d_out_h @ vh.swapaxes(-1, -2)
+            d_scores -= row_sum(d_scores * attn)[..., np.newaxis]
+            d_scores *= attn
 
-            t_k = kh.shape[2]
-            dq = d_qh.transpose(0, 2, 1, 3).reshape(batch, t_q, self.d_model)
-            dk_full = d_kh.transpose(0, 2, 1, 3).reshape(batch, t_k, self.d_model)
-            dv_full = d_vh.transpose(0, 2, 1, 3).reshape(batch, t_k, self.d_model)
-
+            # dq, dk and dv go straight to their columns of the projection
+            # gradient, through (batch, heads, t_q, d_head) views of it.
+            d_proj = np.empty((batch, t_q, 3, heads, d_head))
+            dq, dk, dv = (d_proj[:, :, i].swapaxes(1, 2) for i in range(3))
+            np.matmul(d_scores, kh, out=dq)
+            dq *= scale
             prompt_rows = entry["prompt_rows"]
-            if prompt_rows:
-                dk_prompt = dk_full[:, :prompt_rows].sum(axis=0)
-                dv_prompt = dv_full[:, :prompt_rows].sum(axis=0)
+            if not prompt_rows:
+                np.matmul(d_scores.swapaxes(-1, -2), qh, out=dk)
+                dk *= scale
+                np.matmul(attn.swapaxes(-1, -2), d_out_h, out=dv)
+            else:
+                d_kh = d_scores.swapaxes(-1, -2) @ qh
+                d_kh *= scale
+                d_vh = attn.swapaxes(-1, -2) @ d_out_h
+                dk[...] = d_kh[:, :, prompt_rows:]
+                dv[...] = d_vh[:, :, prompt_rows:]
+                dk_prompt = d_kh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
+                dv_prompt = d_vh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
                 offset = 0
                 for _, block in entry["sources"]:
                     n = block.key.value.shape[0]
@@ -463,18 +549,16 @@ class AttentionPredictor:
                     if block.value.trainable:
                         block.value.grad += dv_prompt[offset : offset + n]
                     offset += n
-                dk = dk_full[:, prompt_rows:]
-                dv = dv_full[:, prompt_rows:]
-            else:
-                dk, dv = dk_full, dv_full
+            d_proj = d_proj.reshape(batch, t_q, 3 * d)
 
-            d_proj = np.concatenate((dq, dk, dv), axis=-1)
             w, b = self.layers_qkv[layer]
             h_in = entry["h_in"]
             if w.trainable:
                 w.grad += np.einsum("btw,btk->wk", h_in, d_proj)
             if b.trainable:
                 b.grad += d_proj.sum(axis=(0, 1))
+            if layer == 0 and not entry["prepended"]:
+                break  # no layer or prompt below consumes the input gradient
             dh = d_proj @ w.value.T
 
             if entry["prepended"]:
@@ -582,7 +666,8 @@ def sgd_step(parameters: Iterable[Parameter], lr: float) -> None:
     """Plain SGD on trainable parameters; zeroes all passed gradients."""
     for p in parameters:
         if p.trainable:
-            p.value -= lr * p.grad
+            p.grad *= lr  # grad * lr == lr * grad bit for bit, without a temporary
+            p.value -= p.grad
         p.grad[...] = 0.0
 
 
@@ -606,21 +691,25 @@ def train_window(
 ) -> None:
     """SGD over bucketed batches: backbone, general and task prompts learn on every
     batch; a bucket's prompt learns only on its own batches."""
-    if not batches:
+    if not batches or epochs < 1:
         return
+    width, max_len = model.input_width, model.cfg.max_len
+    # Stacks and parameter lists do not change across epochs: build them once per pass.
+    plan = []
+    for bucket_id, chunks in batches:
+        params = model.parameters()
+        if general is not None:
+            params.extend(general.parameters())
+        if expert is not None:
+            params.extend(expert.parameters(active_bucket=bucket_id))
+        plan.append((bucket_id, [stack_samples(chunk, width, max_len) for chunk in chunks], params))
     for _ in range(epochs):
-        for bucket_id, chunks in batches:
-            for chunk in chunks:
-                x, targets = stack_samples(chunk, model.input_width, model.cfg.max_len)
+        for bucket_id, stacked, params in plan:
+            for x, targets in stacked:
                 _, cache = model.forward(
                     x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng
                 )
                 model.backward(cache, targets)
-                params = list(model.parameters())
-                if general is not None:
-                    params.extend(general.parameters())
-                if expert is not None:
-                    params.extend(expert.parameters(active_bucket=bucket_id))
                 sgd_step(params, lr)
 
 

@@ -1,4 +1,5 @@
 """Online loop behavior: buffering, task lifecycle, freezing, reports."""
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from cnapwp.engine import (
 from cnapwp.errors import ConfigurationError
 from cnapwp.preprocessing import BucketConfig
 from cnapwp.stream import Event, EventStream
+from cnapwp.task_recognition import PrefixTree
 
 
 def concept_stream():
@@ -232,6 +234,22 @@ def test_report_save_writes_the_standard_files(tiny_stream, small_config, tmp_pa
         assert json.load(fh)["events"] == len(report.records)
     header = (tmp_path / "run" / "records.csv").read_text().splitlines()
     assert len(header) == len(report.records) + 1
+    for name, content in (("summary.json", report.summary()), ("task_store.json", report.task_store)):
+        assert (tmp_path / "run" / name).read_text() == json.dumps(content, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_save_handles_a_case_path_deeper_than_the_recursion_limit(tiny_stream, small_config, tmp_path):
+    depth = 3000
+    tree = PrefixTree()
+    for i in range(depth):
+        tree.extend_case("c1", "ab"[i % 2])
+    report = run_session(tiny_stream, small_config, CNAPWP)
+    store = {"active_task": 1, "tasks": [{"id": 1, "occurrences": 1, "tree_events": depth, "tree_nodes": depth, "tree": tree.to_dict()}]}
+    dataclasses.replace(report, task_store=store).save(tmp_path / "run")
+    text = (tmp_path / "run" / "task_store.json").read_text()
+    assert text.count('"activity"') == depth
+    assert text.count("{") == text.count("}") == depth + 3
+    assert text.endswith("}\n")
 
 
 def test_strategy_spec_validation():
