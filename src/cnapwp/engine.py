@@ -27,6 +27,7 @@ from .metrics import (
     PredictionRecord,
     average_accuracy,
     forgetting_matrix,
+    latency_percentiles,
     rolling_accuracy_curve,
     time_per_event,
     write_accuracy_curve_csv,
@@ -237,7 +238,7 @@ class OnlineEngine:
         else:
             task_at_prediction = self.segment_ordinal
             expert = None
-        probs, y_hat_ord = self.model.predict(sample, general=self.general, expert=expert)
+        _, y_hat_ord = self.model.predict(sample, general=self.general, expert=expert)
         correct = y_hat_ord == sample.target
 
         # Fingerprinting: buffered events feed only the buffer; everything else
@@ -399,7 +400,8 @@ class RunReport:
         return forgetting_matrix(self.records)
 
     def summary(self) -> dict:
-        mean_ms, std_ms = time_per_event(r.latency_ns for r in self.records)
+        latencies = [r.latency_ns for r in self.records]
+        mean_ms, std_ms = time_per_event(latencies)
         matrix = self.forgetting()
         return {
             "strategy": self.strategy,
@@ -410,7 +412,7 @@ class RunReport:
             "segmentation": self.segmentation_source,
             "drift_indices": list(self.drift_indices),
             "task_labels": list(self.task_labels) if self.task_labels is not None else None,
-            "time_per_event_ms": {"mean": mean_ms, "std": std_ms},
+            "time_per_event_ms": {"mean": mean_ms, "std": std_ms, **latency_percentiles(latencies)},
             "tasks": len(self.task_store.get("tasks", [])),
             "total_runtime_s": self.total_runtime_s,
             "config": asdict(self.config),

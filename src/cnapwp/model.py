@@ -335,6 +335,9 @@ class AttentionPredictor:
         self.dense_b = Parameter(np.zeros(head_width), "dense.b")
         self.cls_w = Parameter(_fan_uniform(rng, head_width, n_classes), "classifier.w")
         self.cls_b = Parameter(np.zeros(n_classes), "classifier.b")
+        # predict() results by (general, expert, bucket, input bytes); valid only
+        # while no parameter changes, so train_window and grow clear it.
+        self._predictions: dict[tuple, tuple[np.ndarray, int]] = {}
 
     @property
     def layer_widths(self) -> list[int]:
@@ -577,18 +580,27 @@ class AttentionPredictor:
         general: GeneralPrompt | None = None,
         expert: ExpertPromptSet | None = None,
     ) -> tuple[np.ndarray, int]:
-        """Evaluate one sample; returns (probabilities, predicted ordinal index).
+        """Evaluate one sample; returns (read-only probabilities, predicted ordinal index).
 
-        Argmax ties resolve to the lowest class index.
+        Argmax ties resolve to the lowest class index. A repeated input, under
+        the same prompt objects and bucket, is answered from the cache: without
+        training, ``forward`` is a pure function of the parameters and these.
+        The prompts are held in the key, so their ids cannot be reused.
         """
-        probs, _ = self.forward(
-            sample.input, general=general, expert=expert, bucket_id=sample.bucket, train=False, want_cache=False
-        )
-        return probs, int(np.argmax(probs)) + 1
+        key = (general, expert, sample.bucket, sample.input.tobytes())
+        hit = self._predictions.get(key)
+        if hit is None:
+            probs, _ = self.forward(
+                sample.input, general=general, expert=expert, bucket_id=sample.bucket, train=False, want_cache=False
+            )
+            probs.flags.writeable = False
+            hit = self._predictions[key] = (probs, int(np.argmax(probs)) + 1)
+        return hit
 
     # -- growth ------------------------------------------------------------
 
     def grow(self, input_width: int | None = None, n_classes: int | None = None) -> None:
+        self._predictions.clear()
         if input_width is not None:
             if input_width < self.input_width:
                 raise ConfigurationError(f"cannot shrink input width {self.input_width} -> {input_width}")
@@ -690,7 +702,9 @@ def train_window(
     rng: np.random.Generator | None = None,
 ) -> None:
     """SGD over bucketed batches: backbone, general and task prompts learn on every
-    batch; a bucket's prompt learns only on its own batches."""
+    batch; a bucket's prompt learns only on its own batches. Every call clears
+    the model's prediction cache, which bounds it to one window of entries."""
+    model._predictions.clear()
     if not batches or epochs < 1:
         return
     width, max_len = model.input_width, model.cfg.max_len

@@ -238,6 +238,7 @@ def test_05_metrics_match_hand_computed_values(metrics_fixture):
     verdict(5, ok, "accuracy, forgetting matrix, and identities all within 1e-12")
 
 
+@pytest.mark.slow
 def test_06_prompts_beat_no_prompt_on_recurrent_stream(recurrent_runs):
     means = {name: seed_mean(recurrent_runs, name) for name in ABLATION_CONDITIONS}
     elapsed = recurrent_runs["ablation_elapsed"]
@@ -255,6 +256,7 @@ def test_06_prompts_beat_no_prompt_on_recurrent_stream(recurrent_runs):
     )
 
 
+@pytest.mark.slow
 def test_07_forgetting_below_last_drift(recurrent_runs):
     wins = 0
     pairs = []
@@ -266,6 +268,7 @@ def test_07_forgetting_below_last_drift(recurrent_runs):
     verdict(7, wins >= 4, f"{wins}/5 seeds: " + " ".join(pairs))
 
 
+@pytest.mark.slow
 def test_08_latency_bounds(recurrent_runs):
     ours = float(np.mean([
         recurrent_runs["per_seed"][s]["full"].summary()["time_per_event_ms"]["mean"] for s in SEEDS
@@ -280,6 +283,7 @@ def test_08_latency_bounds(recurrent_runs):
     verdict(8, ok, f"ours {ours:.2f}ms <= 50ms; landmark {landmark:.2f}ms > next {slowest_other:.2f}ms")
 
 
+@pytest.mark.slow
 def test_09_prefix_runs_faster_at_comparable_accuracy(recurrent_runs):
     prompt_acc = seed_mean(recurrent_runs, "full")
     prefix_acc = seed_mean(recurrent_runs, "prefix")

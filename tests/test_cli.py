@@ -1,10 +1,16 @@
 """End-to-end exercises of the command line, run in process through main()."""
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnapwp.baselines import STRATEGIES
 from cnapwp.cli import _resolve_strategy, load_engine_config, main, write_engine_ini
@@ -225,6 +231,58 @@ def test_run_data_errors(tmp_path, capsys):
     bad_header.write_text("who,activity,timestamp\nc1,a,0\n")
     assert main(["run", "--stream", str(bad_header), "--out", str(tmp_path / "o3"),
                  "--strategy", "no_prompt"]) == 2
+
+
+# Field values that break a log in the ways real exports do: bad or mixed
+# timestamps, empty fields, stray quotes, embedded separators and line breaks.
+GARBAGE = st.one_of(
+    st.sampled_from([
+        "", '"', '""', 'x"y', '"open', "notatime", "2024-13-45", "2024-01-01T00:00:00",
+        "2024-01-01T00:00:00+01:00", "1.5", "-7", "9" * 5000, "a,b", "1\n2", "\r", "\x00", "true",
+    ]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def garbled_logs(draw):
+    """A valid small event log, then a few fields replaced, dropped or inserted
+    anywhere, header included; rows are joined without quoting."""
+    header = ["case_id", "activity", "timestamp", "resource"]
+    if draw(st.booleans()):
+        header.append("drift")
+    steps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()), max_size=50))
+    table = [header] + [
+        [f"c{case}", "abcd"[activity], str(tick), "", "1" if drift else ""][: len(header)]
+        for tick, (case, activity, drift) in enumerate(steps)
+    ]
+    edits = st.tuples(st.sampled_from(["replace", "drop", "insert"]), st.integers(0, 10**6), st.integers(0, 9), GARBAGE)
+    for action, row_pick, col_pick, junk in draw(st.lists(edits, max_size=6)):
+        row = table[row_pick % len(table)]
+        if action == "insert" or not row:
+            row.insert(col_pick % (len(row) + 1), junk)
+        elif action == "replace":
+            row[col_pick % len(row)] = junk
+        else:
+            del row[col_pick % len(row)]
+    return "\n".join(",".join(row) for row in table) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=garbled_logs(), strategy=st.sampled_from(["no_prompt", "cnapwp"]))
+def test_run_on_garbled_logs_exits_cleanly(text, strategy):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--stream", str(log), "--out", str(Path(tmp) / "out"),
+                         "--strategy", strategy] + FAST)
+    message = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in message
+    if code:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
 
 
 def test_run_force_overwrites(run_dirs):

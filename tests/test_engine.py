@@ -14,6 +14,7 @@ from cnapwp.engine import (
     run_session,
 )
 from cnapwp.errors import ConfigurationError
+from cnapwp.model import PREFIX_MODE, PROMPT_MODE, AttentionPredictor
 from cnapwp.preprocessing import BucketConfig
 from cnapwp.stream import Event, EventStream
 from cnapwp.task_recognition import PrefixTree
@@ -190,6 +191,42 @@ def test_runs_are_deterministic(tiny_stream, small_config):
     assert [strip(r) for r in a.records] == [strip(r) for r in b.records]
 
 
+def _records_csv(stream, config, strategy, outdir):
+    run_session(stream, config, strategy).save(outdir)
+    return (outdir / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "strategy, mode",
+    [(CNAPWP, PROMPT_MODE), (CNAPWP, PREFIX_MODE), (LAST_DRIFT, PREFIX_MODE)],
+    ids=["cnapwp-prompt", "cnapwp-prefix", "last_drift"],
+)
+def test_prediction_cache_leaves_records_unchanged(tiny_stream, small_config, tmp_path, monkeypatch, strategy, mode):
+    config = dataclasses.replace(small_config, prompt_mode=mode)
+    predict, forward = AttentionPredictor.predict, AttentionPredictor.forward
+    calls = {"predict": 0, "forward": 0}
+
+    def counted_predict(self, *args, **kwargs):
+        calls["predict"] += 1
+        return predict(self, *args, **kwargs)
+
+    def counted_forward(self, *args, train=False, **kwargs):
+        calls["forward"] += not train
+        return forward(self, *args, train=train, **kwargs)
+
+    monkeypatch.setattr(AttentionPredictor, "predict", counted_predict)
+    monkeypatch.setattr(AttentionPredictor, "forward", counted_forward)
+    cached = _records_csv(tiny_stream, config, strategy, tmp_path / "cached")
+    assert 0 < calls["forward"] < calls["predict"]  # some predictions came from the cache
+
+    def uncached_predict(self, *args, **kwargs):
+        self._predictions.clear()
+        return predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttentionPredictor, "predict", uncached_predict)
+    assert _records_csv(tiny_stream, config, strategy, tmp_path / "uncached") == cached
+
+
 def test_run_session_measures_the_later_split(tiny_stream, small_config):
     report = run_session(tiny_stream, small_config, CNAPWP)
     assert len(report.records) == 144  # 180 events, leading 20% warm-up
@@ -213,7 +250,9 @@ def test_report_summary_shape(tiny_stream, small_config):
     assert summary["events"] == 144
     assert 0.0 <= summary["average_accuracy"] <= 1.0
     assert summary["segmentation"] == "ground_truth"
-    assert summary["time_per_event_ms"]["mean"] > 0
+    latency = summary["time_per_event_ms"]
+    assert latency["mean"] > 0
+    assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
     assert summary["config"]["window_size"] == small_config.window_size
     assert summary["tasks"] >= 1
 

@@ -15,6 +15,7 @@ from cnapwp.metrics import (
     accuracy_at_index,
     average_accuracy,
     forgetting_matrix,
+    latency_percentiles,
     read_records_csv,
     rolling_accuracy_curve,
     segment_accuracy,
@@ -184,6 +185,21 @@ def test_time_per_event_oracle():
     assert mean_ms == pytest.approx(2.0, abs=1e-12)
     assert std_ms == pytest.approx(1.0, abs=1e-12)  # population std
     assert time_per_event([]) == (0.0, 0.0)
+
+
+def test_latency_percentiles_oracle():
+    # 1, 2, 3, 4, 100 ms: the median is the middle value; the 99th percentile
+    # sits at position 0.99 * 4 = 3.96, so 4 + 0.96 * (100 - 4) = 96.16.
+    stats = latency_percentiles([1_000_000, 4_000_000, 100_000_000, 2_000_000, 3_000_000])
+    assert stats["p50"] == pytest.approx(3.0, abs=1e-12)
+    assert stats["p99"] == pytest.approx(96.16, abs=1e-9)
+    assert stats["max"] == pytest.approx(100.0, abs=1e-12)
+    assert latency_percentiles([]) == {"p50": 0.0, "p99": 0.0, "max": 0.0}
+    assert latency_percentiles([5_000_000]) == {"p50": 5.0, "p99": 5.0, "max": 5.0}
+    # The interpolation is numpy's default percentile method.
+    latencies = np.random.default_rng(3).integers(1, 10**9, 7650)
+    stats = latency_percentiles(latencies.tolist())
+    assert [stats["p50"], stats["p99"]] == pytest.approx(np.percentile(latencies / 1e6, (50, 99)), rel=1e-12)
 
 
 def test_records_csv_roundtrip(tmp_path, metrics_fixture):

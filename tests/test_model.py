@@ -1,4 +1,6 @@
-"""Backbone forward pass, prompts, growth, loss, training, and checkpoints."""
+"""Backbone forward pass, prompts, growth, loss, training, the prediction cache, and checkpoints."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,6 +411,67 @@ def test_train_window_with_no_batches_is_a_noop():
     train_window(model, [], epochs=3, lr=0.1)
     for p, before in zip(model.parameters(), snapshot):
         assert np.array_equal(p.value, before)
+
+
+# -- prediction cache -------------------------------------------------------------------
+
+
+def _cached_setup():
+    vocab = ActivityVocabulary(["a", "b", "c"])
+    model = make_model(input_width=vocab.width, n_classes=len(vocab))
+    general, expert = make_prompts(model)
+    return vocab, model, general, expert, _encode_under(vocab, ["a", "b"], "c")
+
+
+def _uncached(model, sample, general, expert):
+    probs, _ = model.forward(sample.input, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
+    return probs
+
+
+def test_repeated_predict_returns_the_cached_read_only_result():
+    _, model, general, expert, sample = _cached_setup()
+    first = model.predict(sample, general, expert)
+    assert model.predict(sample, general, expert) is first
+    probs, index = first
+    expected = _uncached(model, sample, general, expert)
+    assert np.array_equal(probs, expected) and index == int(np.argmax(expected)) + 1
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+
+
+def test_a_different_expert_set_or_bucket_misses():
+    _, model, general, expert, sample = _cached_setup()
+    first = model.predict(sample, general, expert)
+    # An equal-valued but distinct prompt set is another key: prompts go in by identity.
+    twin = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=1)
+    other = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=2)
+    other_bucket = dataclasses.replace(sample, bucket=3 - sample.bucket)
+    for args in ((sample, general, twin), (sample, general, other), (other_bucket, general, expert)):
+        probs, _ = model.predict(*args)
+        assert probs is not first[0]
+        assert np.array_equal(probs, _uncached(model, *args))
+    assert len(model._predictions) == 4
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_window_clears_the_prediction_cache(epochs):
+    _, model, general, expert, sample = _cached_setup()
+    model.predict(sample, general, expert)
+    train_window(model, [(sample.bucket, [[sample]])], epochs=epochs, lr=0.5, general=general, expert=expert)
+    assert not model._predictions
+    probs, _ = model.predict(sample, general, expert)
+    assert np.array_equal(probs, _uncached(model, sample, general, expert))
+
+
+def test_grow_vocabulary_clears_the_prediction_cache():
+    vocab, model, general, expert, sample = _cached_setup()
+    model.predict(sample, general, expert)
+    vocab.intern("d")
+    grow_vocabulary(model, vocab.width, len(vocab), general=general, expert_sets=[expert])
+    assert not model._predictions
+    probs, _ = model.predict(sample, general, expert)
+    assert probs.shape == (len(vocab),)
 
 
 # -- checkpoints -----------------------------------------------------------------------
