@@ -17,9 +17,6 @@ from .baselines import (
     LAST_DRIFT,
     NO_PROMPT,
     STRATEGIES,
-    run_ablation,
-    run_conditions,
-    run_prompt_function_comparison,
 )
 from .engine import EngineConfig, OnlineEngine, RunReport, StrategySpec, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
@@ -49,9 +46,6 @@ __all__ = [
     "builtin_processes",
     "generate_drift_stream",
     "parse_event_log",
-    "run_ablation",
-    "run_conditions",
-    "run_prompt_function_comparison",
     "run_session",
     "sample_pool",
     "split_validation",

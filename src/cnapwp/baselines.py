@@ -1,4 +1,4 @@
-"""Named run conditions and multi-condition experiment drivers.
+"""Named run conditions, the process-pool width and the job runner.
 
 The full predictor, its prompt ablations, and two reference baselines:
 
@@ -11,20 +11,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .engine import (
-    ALL_MEMORY,
-    SINCE_DRIFT_MEMORY,
-    EngineConfig,
-    RunReport,
-    StrategySpec,
-    run_session,
-)
+from .engine import ALL_MEMORY, SINCE_DRIFT_MEMORY, StrategySpec
 from .errors import ConfigurationError
-from .model import PREFIX_MODE, PROMPT_MODE
-from .stream import EventStream
 
 CNAPWP = StrategySpec("cnapwp", use_general=True, use_expert=True)
 G_ONLY = StrategySpec("g_only", use_general=True, use_expert=False)
@@ -78,28 +68,3 @@ def map_jobs(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     with ProcessPoolExecutor(max_workers=width) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 
-
-def run_conditions(
-    stream: EventStream,
-    config: EngineConfig,
-    conditions: Mapping[str, StrategySpec],
-    max_workers: int | None = None,
-) -> dict[str, RunReport]:
-    """Run every condition on the same stream, in parallel when workers allow."""
-    jobs = [(stream, config, strategy) for strategy in conditions.values()]
-    return dict(zip(conditions, map_jobs(run_session, jobs, worker_cap(max_workers))))
-
-
-def run_ablation(
-    stream: EventStream, config: EngineConfig, max_workers: int | None = None
-) -> dict[str, RunReport]:
-    return run_conditions(stream, config, ABLATION_CONDITIONS, max_workers=max_workers)
-
-
-def run_prompt_function_comparison(
-    stream: EventStream, config: EngineConfig, max_workers: int | None = None
-) -> dict[str, RunReport]:
-    """The full predictor with key/value prompt rows versus input-token prompt rows."""
-    modes = {"prefix": PREFIX_MODE, "prompt": PROMPT_MODE}
-    jobs = [(stream, replace(config, prompt_mode=mode), CNAPWP) for mode in modes.values()]
-    return dict(zip(modes, map_jobs(run_session, jobs, worker_cap(max_workers))))

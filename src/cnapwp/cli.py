@@ -26,7 +26,7 @@ from . import __version__
 from .baselines import ABLATION_CONDITIONS, STRATEGIES, map_jobs, worker_cap
 from .engine import EngineConfig, RunReport, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
-from .metrics import average_accuracy, forgetting_matrix, read_records_csv, rolling_accuracy_curve
+from .metrics import average_accuracy, forgetting_matrix, read_records_csv, rolling_accuracy_curve, write_json
 from .plots import accuracy_curve_svg, forgetting_heatmap_svg
 from .stream import (
     DriftSchedule,
@@ -129,24 +129,22 @@ def _write_manifest(outdir: Path, command: str, params: dict) -> None:
         "version": __version__,
         "params": params,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, outdir / "manifest.json")
 
 
 def _load_stream(args):
-    stream, drift_source = parse_stream_with_sidecars(
-        args.stream, getattr(args, "drifts", None), getattr(args, "tasks", None)
+    """Parse the stream once, each sidecar from its flag or else from beside the stream."""
+    base = Path(args.stream)
+
+    def sidecar(flag: str | None, suffix: str):
+        if flag is not None:
+            return flag
+        beside = base.with_suffix(suffix)
+        return beside if beside.exists() else None
+
+    return parse_stream_with_sidecars(
+        args.stream, sidecar(args.drifts, ".drifts"), sidecar(args.tasks, ".tasks")
     )
-    if drift_source is None:
-        base = Path(args.stream)
-        drifts = base.with_suffix(".drifts")
-        tasks = base.with_suffix(".tasks")
-        if drifts.exists():
-            stream, drift_source = parse_stream_with_sidecars(
-                args.stream, drifts, tasks if tasks.exists() else None
-            )
-    return stream, drift_source
 
 
 def _require_drift_info(strategy_name: str, drift_source: str | None) -> None:
@@ -299,9 +297,7 @@ def cmd_sweep(args) -> int:
         "best": best,
         "grid": rows,
     }
-    with open(outdir / "aggregate.json", "w") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(aggregate, outdir / "aggregate.json")
     write_engine_ini(dataclasses.replace(base, **best["params"]), outdir / "best.ini")
     print(
         f"swept {len(rows)} settings; best accuracy={best['average_accuracy']:.4f} "
@@ -366,9 +362,7 @@ def cmd_ablate(args) -> int:
             "time_per_event_ms_mean": sum(times) / n,
             "per_seed_accuracy": dict(zip(map(str, seeds), accs)),
         }
-    with open(outdir / "aggregate.json", "w") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(aggregate, outdir / "aggregate.json")
     for name, stats in aggregate["conditions"].items():
         print(
             f"{name}: accuracy={stats['accuracy_mean']:.4f} (+/- {stats['accuracy_std']:.4f}) "
@@ -378,6 +372,19 @@ def cmd_ablate(args) -> int:
 
 
 # -- report -----------------------------------------------------------------------
+
+
+def _read_summary(path: Path) -> dict:
+    """A run's summary.json, or {} when the run folder has none."""
+    if not path.exists():
+        return {}
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or bytes that are not text
+        raise StreamParseError(f"bad summary {path}: {exc}") from None
+    if not isinstance(summary, dict):
+        raise StreamParseError(f"bad summary {path}: not a JSON object")
+    return summary
 
 
 def cmd_report(args) -> int:
@@ -391,23 +398,17 @@ def cmd_report(args) -> int:
     lines = []
     for d in run_dirs:
         records = read_records_csv(d / "records.csv")
-        summary_path = d / "summary.json"
-        summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+        summary = _read_summary(d / "summary.json")
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
         window = summary.get("config", {}).get("curve_window") or summary.get("config", {}).get(
             "window_size", 250
         )
         curves[label] = rolling_accuracy_curve(records, int(window))
-        labels = summary.get("task_labels")
-        drifts = summary.get("drift_indices", [])
-        if labels:
-            matrix = forgetting_matrix(records, drifts, labels)
-        else:
-            matrix = forgetting_matrix(records)
+        matrix = forgetting_matrix(records, summary.get("drift_indices"), summary.get("task_labels") or None)
         safe = label.replace("/", "_").replace(":", "_")
         forgetting_heatmap_svg(matrix, outdir / f"forgetting_{safe}.svg")
-        acc = sum(1 for r in records if r.correct) / len(records) if records else 0.0
+        acc = average_accuracy(records)
         lines.append(f"{label}: events={len(records)} accuracy={acc:.4f} forgetting={matrix.mean_positive_delta:.4f}")
     accuracy_curve_svg(curves, outdir / "accuracy_curves.svg")
     for line in lines:

@@ -395,9 +395,7 @@ class RunReport:
         return "ground_truth" if self.task_labels is not None else "records"
 
     def forgetting(self):
-        if self.task_labels is not None:
-            return forgetting_matrix(self.records, self.drift_indices, self.task_labels)
-        return forgetting_matrix(self.records)
+        return forgetting_matrix(self.records, self.drift_indices, self.task_labels)
 
     def summary(self) -> dict:
         latencies = [r.latency_ns for r in self.records]

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StreamParseError
 
 RECORD_COLUMNS = ("index", "case_id", "y", "y_hat", "correct", "task_id", "buffering")
 
@@ -233,21 +233,38 @@ def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLi
 
 
 def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
+    """Read a records.csv back. A missing column raises ConfigurationError; a
+    short row or a non-integer field raises StreamParseError with its line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            out.append(
-                PredictionRecord(
-                    index=int(row["index"]),
-                    case_id=row["case_id"],
-                    y=row["y"],
-                    y_hat=row["y_hat"],
-                    correct=bool(int(row["correct"])),
-                    task_id=int(row["task_id"]),
-                    buffering=bool(int(row["buffering"])),
+        reader = csv.reader(fh)
+        line_no = 1
+        try:
+            header = next(reader, [])
+            missing = [c for c in RECORD_COLUMNS if c not in header]
+            if missing:
+                raise ConfigurationError(f"{path}: columns {missing} not found in header {header}")
+            i_index, i_case, i_y, i_y_hat, i_correct, i_task, i_buffering = map(header.index, RECORD_COLUMNS)
+            out = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                out.append(
+                    PredictionRecord(
+                        index=int(row[i_index]),
+                        case_id=row[i_case],
+                        y=row[i_y],
+                        y_hat=row[i_y_hat],
+                        correct=bool(int(row[i_correct])),
+                        task_id=int(row[i_task]),
+                        buffering=bool(int(row[i_buffering])),
+                    )
                 )
-            )
+        except IndexError:
+            raise StreamParseError(
+                f"bad record in {path}: expected {len(header)} fields, got {len(row)}", line_no
+            ) from None
+        except ValueError as exc:  # a non-integer field, or bytes that are not text
+            raise StreamParseError(f"bad record in {path}: {exc}", line_no) from None
         return out
 
 

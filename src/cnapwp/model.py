@@ -24,9 +24,8 @@ classes a logit of exactly zero.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .preprocessing import EncodedSample
 PREFIX_MODE = "prefix"
 PROMPT_MODE = "prompt"
 LOG_FLOOR = 1e-12
-CHECKPOINT_MAGIC = b"CNAPWP1\n"
 
 
 class Parameter:
@@ -659,13 +657,6 @@ def grow_vocabulary(
 # -- loss and optimization --------------------------------------------------
 
 
-def cross_entropy(probabilities: np.ndarray, target: int) -> float:
-    """Negative log likelihood of the target ordinal, with a floor before log."""
-    if not 1 <= target <= probabilities.shape[-1]:
-        raise ConfigurationError(f"target {target} outside [1, {probabilities.shape[-1]}]")
-    return -math.log(max(float(probabilities[target - 1]), LOG_FLOOR))
-
-
 def mean_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets)
     if np.any(targets < 1) or np.any(targets > probabilities.shape[-1]):
@@ -726,49 +717,3 @@ def train_window(
                 model.backward(cache, targets)
                 sgd_step(params, lr)
 
-
-# -- checkpointing ------------------------------------------------------------
-
-
-def save_checkpoint(path, named_tensors: Mapping[str, np.ndarray]) -> None:
-    """Binary dump: magic, tensor count, then per tensor a name line, a shape
-    line, and raw little-endian float64 bytes in C order."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(named_tensors)))
-        for name, tensor in named_tensors.items():
-            # asarray keeps 0-d shapes; ascontiguousarray would promote them to 1-d
-            arr = np.asarray(tensor, dtype="<f8", order="C")
-            fh.write(name.encode("utf-8") + b"\n")
-            fh.write(" ".join(str(d) for d in arr.shape).encode("ascii") + b"\n")
-            fh.write(arr.tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name = _read_line(fh).decode("utf-8")
-            shape_text = _read_line(fh).decode("ascii").strip()
-            shape = tuple(int(t) for t in shape_text.split()) if shape_text else ()
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ConfigurationError(f"truncated checkpoint tensor {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        return out
-
-
-def _read_line(fh) -> bytes:
-    chunks = []
-    while True:
-        c = fh.read(1)
-        if not c:
-            raise ConfigurationError("truncated checkpoint header")
-        if c == b"\n":
-            return b"".join(chunks)
-        chunks.append(c)

@@ -29,7 +29,6 @@ class Event:
     case_id: str
     activity: str
     resource: str | None = None
-    extra_attrs: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)

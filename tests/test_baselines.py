@@ -1,4 +1,4 @@
-"""Strategy table, worker capping, and the experiment drivers."""
+"""Strategy table, worker capping, the job runner, and the reference baselines."""
 import numpy as np
 import pytest
 
@@ -12,14 +12,10 @@ from cnapwp.baselines import (
     NO_PROMPT,
     STRATEGIES,
     map_jobs,
-    run_ablation,
-    run_conditions,
-    run_prompt_function_comparison,
     worker_cap,
 )
 from cnapwp.engine import ALL_MEMORY, SINCE_DRIFT_MEMORY, WINDOW_MEMORY, OnlineEngine, run_session
 from cnapwp.errors import ConfigurationError
-from cnapwp.model import PREFIX_MODE, PROMPT_MODE
 
 
 def test_strategy_table():
@@ -83,41 +79,9 @@ def test_reinit_rebuilds_the_backbone_from_seed(tiny_stream, small_config):
         assert np.array_equal(p.value, trained_names[p.name]), p.name
 
 
-def test_run_conditions_serial(tiny_stream, small_config):
-    reports = run_conditions(
-        tiny_stream, small_config, {"full": CNAPWP, "no_prompt": NO_PROMPT}, max_workers=1
-    )
-    assert set(reports) == {"full", "no_prompt"}
-    assert reports["full"].strategy == "cnapwp"
-    assert reports["no_prompt"].strategy == "no_prompt"
-    assert len(reports["full"].records) == len(reports["no_prompt"].records) == 144
-
-
-def test_run_ablation_keys(tiny_stream, small_config):
-    reports = run_ablation(tiny_stream, small_config, max_workers=1)
-    assert set(reports) == {"no_prompt", "g_only", "e_only", "full"}
-    for report in reports.values():
-        assert len(report.records) == 144
-
-
-def test_prompt_function_comparison_sets_both_modes(tiny_stream, small_config):
-    reports = run_prompt_function_comparison(tiny_stream, small_config, max_workers=1)
-    assert set(reports) == {"prefix", "prompt"}
-    assert reports["prefix"].config.prompt_mode == PREFIX_MODE
-    assert reports["prompt"].config.prompt_mode == PROMPT_MODE
-    assert reports["prefix"].strategy == reports["prompt"].strategy == "cnapwp"
-
-
-def test_condition_runs_match_single_runs(tiny_stream, small_config):
-    grouped = run_conditions(tiny_stream, small_config, {"full": CNAPWP}, max_workers=1)
-    solo = run_session(tiny_stream, small_config, CNAPWP)
-    strip = lambda r: (r.index, r.y, r.y_hat, r.correct, r.task_id, r.buffering)
-    assert [strip(r) for r in grouped["full"].records] == [strip(r) for r in solo.records]
-
-
 @pytest.mark.parametrize("strategy", [LANDMARK, LAST_DRIFT])
 def test_reference_baselines_run_end_to_end(strategy, tiny_stream, small_config):
-    reports = run_conditions(tiny_stream, small_config, {strategy.name: strategy}, max_workers=1)
-    report = reports[strategy.name]
+    report = run_session(tiny_stream, small_config, strategy)
+    assert report.strategy == strategy.name
     assert len(report.records) == 144
     assert 0.0 <= report.summary()["average_accuracy"] <= 1.0

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnapwp.baselines import STRATEGIES
+from cnapwp import stream as stream_mod
 from cnapwp.cli import _resolve_strategy, load_engine_config, main, write_engine_ini
 from cnapwp.engine import EngineConfig
 from cnapwp.errors import ConfigurationError
@@ -186,6 +187,29 @@ def test_run_drift_info_requirements(gen_dir, tmp_path, capsys):
                  "--strategy", "cnapwp", "--drifts", str(gen_dir / "stream.drifts"),
                  "--tasks", str(gen_dir / "stream.tasks")] + FORWARD_ONLY)
     assert code == 0
+
+
+@pytest.mark.parametrize("flag", [None, "--drifts", "--tasks"])
+def test_run_resolves_each_sidecar_on_its_own(gen_dir, tmp_path, monkeypatch, flag):
+    """A flag replaces only its own sidecar; the other is still found beside the
+    stream, and the CSV is parsed once."""
+    parses = []
+    real_parse = stream_mod.parse_event_log
+    monkeypatch.setattr(stream_mod, "parse_event_log", lambda *a: parses.append(a) or real_parse(*a))
+    argv = ["run", "--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "o")]
+    if flag == "--drifts":
+        (tmp_path / "other.drifts").write_text("30\n")
+        argv += [flag, str(tmp_path / "other.drifts")]
+    elif flag == "--tasks":
+        (tmp_path / "other.tasks").write_text("a\nb\n")
+        argv += [flag, str(tmp_path / "other.tasks")]
+    assert main(argv + FORWARD_ONLY) == 0
+    assert len(parses) == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["segmentation"] == "ground_truth"
+    # 16 events warm the vocabulary, so a drift at event 40 (or 30) lands on record 24 (or 14).
+    assert summary["drift_indices"] == ([14] if flag == "--drifts" else [24])
+    assert summary["task_labels"] == (["a", "b"] if flag == "--tasks" else ["pipeline", "expedite"])
 
 
 def test_run_usage_errors_exit_2(gen_dir, tmp_path, capsys):
@@ -437,6 +461,26 @@ def test_report_missing_records_exits_2(tmp_path, capsys):
     code = main(["report", "--runs", str(empty), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "records.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, edit, code, message",
+    [
+        ("records.csv", lambda t: t.replace("index,", "idx,", 1), 2, "'index'"),
+        ("records.csv", lambda t: t.replace("\n", "\n0,c,a\n", 1), 3, "line 2: bad record"),
+        ("records.csv", lambda t: "\n".join([*t.split("\n")[:2], "0,c,a,b,x,1,0", ""]), 3, "line 3: bad record"),
+        ("summary.json", lambda t: t[:-5], 3, "bad summary"),
+    ],
+    ids=["missing-column", "short-row", "non-integer-field", "truncated-summary"],
+)
+def test_report_malformed_run_exits_cleanly(run_dirs, tmp_path, capsys, name, edit, code, message):
+    run = tmp_path / "run"
+    shutil.copytree(run_dirs[0], run)
+    (run / name).write_text(edit((run / name).read_text()))
+    assert main(["report", "--runs", str(run), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # -- parser -----------------------------------------------------------------------

@@ -1,27 +1,21 @@
-"""Backbone forward pass, prompts, growth, loss, training, the prediction cache, and checkpoints."""
+"""Backbone forward pass, prompts, growth, loss, training, and the prediction cache."""
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cnapwp.errors import ConfigurationError, NumericError
 from cnapwp.model import (
-    CHECKPOINT_MAGIC,
     PREFIX_MODE,
     PROMPT_MODE,
     AttentionPredictor,
     ModelConfig,
     Parameter,
     attach_prefix,
-    cross_entropy,
     grow_vocabulary,
     init_expert_prompts,
     init_general_prompt,
-    load_checkpoint,
     mean_cross_entropy,
-    save_checkpoint,
     softmax,
     stack_samples,
     train_window,
@@ -54,33 +48,32 @@ def one_hot_batch(model, rng, batch=3):
 
 
 def test_cross_entropy_uniform_oracle():
-    probs = np.full(4, 0.25)
-    assert cross_entropy(probs, 1) == pytest.approx(1.3862943611198906, abs=1e-15)
+    probs = np.full((1, 4), 0.25)
+    assert mean_cross_entropy(probs, np.array([1])) == pytest.approx(1.3862943611198906, abs=1e-15)
 
 
 def test_cross_entropy_tenth_oracle():
-    probs = np.array([0.1, 0.9])
-    assert cross_entropy(probs, 1) == pytest.approx(2.302585092994046, abs=1e-15)
+    probs = np.array([[0.1, 0.9]])
+    assert mean_cross_entropy(probs, np.array([1])) == pytest.approx(2.302585092994046, abs=1e-15)
 
 
 def test_cross_entropy_floors_zero_probability():
-    probs = np.array([0.0, 1.0])
-    assert cross_entropy(probs, 1) == pytest.approx(-np.log(1e-12))
+    probs = np.array([[0.0, 1.0]])
+    assert mean_cross_entropy(probs, np.array([1])) == pytest.approx(-np.log(1e-12))
 
 
 def test_cross_entropy_target_bounds():
     with pytest.raises(ConfigurationError):
-        cross_entropy(np.full(3, 1 / 3), 0)
+        mean_cross_entropy(np.full((1, 3), 1 / 3), np.array([0]))
     with pytest.raises(ConfigurationError):
-        cross_entropy(np.full(3, 1 / 3), 4)
+        mean_cross_entropy(np.full((1, 3), 1 / 3), np.array([4]))
 
 
 def test_mean_cross_entropy_matches_per_sample_mean():
-    rng = np.random.default_rng(0)
-    probs = softmax(rng.normal(size=(5, 6)))
-    targets = np.array([1, 3, 6, 2, 4])
-    expected = np.mean([cross_entropy(probs[i], t) for i, t in enumerate(targets)])
-    assert mean_cross_entropy(probs, targets) == pytest.approx(expected, abs=1e-15)
+    probs = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8], [0.2, 0.4, 0.4]])
+    targets = np.array([1, 3, 2])
+    # -(log 0.5 + log 0.8 + log 0.4) / 3 = log(1 / 0.16) / 3
+    assert mean_cross_entropy(probs, targets) == pytest.approx(0.6108604879161034, abs=1e-15)
 
 
 def test_softmax_rows_normalize():
@@ -473,72 +466,3 @@ def test_grow_vocabulary_clears_the_prediction_cache():
     probs, _ = model.predict(sample, general, expert)
     assert probs.shape == (len(vocab),)
 
-
-# -- checkpoints -----------------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    tensors = {
-        "w": rng.normal(size=(3, 4)),
-        "b": rng.normal(size=5),
-        "scalar": np.array(3.5),
-    }
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, tensors)
-    assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(tensors)
-    for name, tensor in tensors.items():
-        assert np.array_equal(loaded[name], tensor)
-        assert loaded[name].shape == tensor.shape
-
-
-def test_checkpoint_carries_model_parameters(tmp_path):
-    model = make_model()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {p.name: p.value for p in model.parameters()})
-    loaded = load_checkpoint(path)
-    clone = make_model(seed=99)
-    for p in clone.parameters():
-        p.value[...] = loaded[p.name]
-    x = one_hot_batch(model, np.random.default_rng(14))
-    a, _ = model.forward(x, want_cache=False)
-    b, _ = clone.forward(x, want_cache=False)
-    assert np.array_equal(a, b)
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ConfigurationError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_truncation(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.ones((4, 4))})
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ConfigurationError):
-        load_checkpoint(path)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.dictionaries(
-        st.text(st.sampled_from("abcxyz."), min_size=1, max_size=12),
-        st.tuples(st.integers(0, 4), st.integers(1, 5)),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_checkpoint_roundtrip_property(tmp_path_factory, shapes):
-    rng = np.random.default_rng(17)
-    tensors = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    path = tmp_path_factory.mktemp("ckpt") / "t.ckpt"
-    save_checkpoint(path, tensors)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(tensors)
-    for name in tensors:
-        assert np.array_equal(loaded[name], tensors[name])
