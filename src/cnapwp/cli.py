@@ -374,8 +374,26 @@ def cmd_ablate(args) -> int:
 # -- report -----------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """JSON ``true``/``false`` are not ints here, though Python's bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_list_of(value, item_ok) -> bool:
+    """True for null, or for a list whose items all pass ``item_ok``."""
+    return value is None or isinstance(value, list) and all(map(item_ok, value))
+
+
 def _read_summary(path: Path) -> dict:
-    """A run's summary.json, or {} when the run folder has none."""
+    """A run's summary.json, or {} when the run folder has none.
+
+    Every field ``cmd_report`` reads may be absent, but a present one must
+    have the type that ``RunReport.summary`` writes.
+    """
     if not path.exists():
         return {}
     try:
@@ -384,7 +402,22 @@ def _read_summary(path: Path) -> dict:
         raise StreamParseError(f"bad summary {path}: {exc}") from None
     if not isinstance(summary, dict):
         raise StreamParseError(f"bad summary {path}: not a JSON object")
-    return summary
+    config = summary.get("config", {})
+    if not isinstance(summary.get("strategy", ""), str):
+        problem = "strategy is not a string"
+    elif not isinstance(config, dict):
+        problem = "config is not an object"
+    elif config.get("curve_window") is not None and not _is_count(config["curve_window"]):
+        problem = "config.curve_window is neither null nor an int >= 0"
+    elif "window_size" in config and not _is_count(config["window_size"]):
+        problem = "config.window_size is not an int >= 0"
+    elif not _is_list_of(summary.get("drift_indices"), _is_int):
+        problem = "drift_indices is neither null nor a list of ints"
+    elif not _is_list_of(summary.get("task_labels"), lambda label: isinstance(label, str)):
+        problem = "task_labels is neither null nor a list of strings"
+    else:
+        return summary
+    raise StreamParseError(f"bad summary {path}: {problem}")
 
 
 def cmd_report(args) -> int:
@@ -401,9 +434,8 @@ def cmd_report(args) -> int:
         summary = _read_summary(d / "summary.json")
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
-        window = summary.get("config", {}).get("curve_window") or summary.get("config", {}).get(
-            "window_size", 250
-        )
+        config = summary.get("config", {})
+        window = config.get("curve_window") or config.get("window_size", 250)
         curves[label] = rolling_accuracy_curve(records, int(window))
         matrix = forgetting_matrix(records, summary.get("drift_indices"), summary.get("task_labels") or None)
         safe = label.replace("/", "_").replace(":", "_")

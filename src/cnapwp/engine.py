@@ -45,10 +45,10 @@ from .model import (
     init_general_prompt,
     train_window,
 )
-from .preprocessing import ActivityVocabulary, BucketConfig, build_prefix, encode, fit_buckets
+from .preprocessing import ActivityVocabulary, BucketConfig, EncodedSample, build_prefix, encode, fit_buckets
 from .stream import Event, EventStream, split_validation
 from .task_recognition import PrefixTree, TaskBuffer, TaskRecord, build_from_buffer, match_task
-from .window import SlidingWindow, UpdateSignal, partition_batches
+from .window import SlidingWindow, partition_batches
 
 log = logging.getLogger(__name__)
 
@@ -159,8 +159,7 @@ class OnlineEngine:
         self.window = SlidingWindow(config.window_size)
         self.events_seen = 0
         self.segment_ordinal = 1
-        self._all_samples = []
-        self._since_drift_samples = []
+        self._memory: list[EncodedSample] = []  # the training memory, unless it is the window
         self._backbone_frozen = False
         self._dropout_rng = np.random.default_rng([config.seed, 7])
 
@@ -221,7 +220,7 @@ class OnlineEngine:
             if strat.use_expert and self.buffer is None:
                 self.buffer = TaskBuffer(cfg.buffer_size)
             if strat.training_memory == SINCE_DRIFT_MEMORY:
-                self._since_drift_samples.clear()
+                self._memory.clear()
 
         buffering = self.buffer is not None
         if buffering:
@@ -252,13 +251,11 @@ class OnlineEngine:
 
         # Train: the sample joins the window (and any longer memory) before the
         # update check, so the signaling event trains too.
-        signal = self.window.push(event, sample)
-        if strat.training_memory == ALL_MEMORY:
-            self._all_samples.append(sample)
-        elif strat.training_memory == SINCE_DRIFT_MEMORY:
-            self._since_drift_samples.append(sample)
+        window_full = self.window.push(event, sample)
+        if strat.training_memory != WINDOW_MEMORY:
+            self._memory.append(sample)
         self.events_seen += 1
-        if signal is UpdateSignal.WINDOW_FULL:
+        if window_full:
             self._train()
         # Freeze after the update so the threshold event still trains in full.
         if strat.freeze_after is not None and not self._backbone_frozen and self.events_seen >= strat.freeze_after:
@@ -321,12 +318,7 @@ class OnlineEngine:
 
     def _train(self) -> None:
         strat = self.strategy
-        if strat.training_memory == ALL_MEMORY:
-            samples = self._all_samples
-        elif strat.training_memory == SINCE_DRIFT_MEMORY:
-            samples = self._since_drift_samples
-        else:
-            samples = self.window.samples()
+        samples = self.window.samples() if strat.training_memory == WINDOW_MEMORY else self._memory
         if not samples:
             return
         if strat.reinit_on_update:

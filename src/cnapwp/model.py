@@ -197,10 +197,10 @@ class ForwardCache:
         self.layer_output_lengths: list[int] = []
 
 
-# From about this many rows on, a Python loop over the columns of a short last
-# axis beats numpy's per-row reductions (a batch-25 attention softmax has
-# 2,600 rows of 10-13); below it, as in one-sample predictions and the
-# classifier head, the per-column calls cost more than they save.
+# From about this many rows on, a running maximum over the columns of a short
+# last axis beats numpy's per-row max (a batch-25 attention softmax has 2,600
+# rows of 10-13); below it, as in one-sample predictions and the classifier
+# head, the per-column calls cost more than they save.
 COLUMN_LOOP_MIN_ROWS = 512
 
 
@@ -222,53 +222,11 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` bit for bit; on many C-contiguous rows, one column slice at a time.
-
-    numpy adds each contiguous row from an identity of 0.0 with its pairwise
-    scheme: below 8 entries in sequence; up to 128 in 8 interleaved partial
-    sums combined as a tree, then the leftover entries in sequence; longer rows
-    split in two halves whose length is a multiple of 8. Other layouts may be
-    reduced in another order, so they go to numpy.
-    """
-    if not (_many_rows(x) and x.flags.c_contiguous):
-        return x.sum(axis=-1)
-    n = x.shape[-1]
-    out = _pairwise_columns(x, 0, n)
-    if n >= 8:
-        out += 0.0  # the identity: turns a -0.0 total into +0.0
-    return out
-
-
-def _pairwise_columns(x: np.ndarray, start: int, n: int) -> np.ndarray:
-    if n < 8:
-        out = x[..., start] + 0.0
-        for j in range(start + 1, start + n):
-            out += x[..., j]
-        return out
-    if n <= 128:
-        end = start + n - n % 8
-        lanes = x[..., start : start + 8]
-        if end > start + 8:
-            lanes = lanes + x[..., start + 8 : start + 16]
-            for i in range(start + 16, end, 8):
-                lanes += x[..., i : i + 8]
-        pairs = lanes[..., 0::2] + lanes[..., 1::2]
-        out = pairs[..., 0] + pairs[..., 1]
-        out += pairs[..., 2] + pairs[..., 3]
-        for j in range(end, start + n):
-            out += x[..., j]
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_columns(x, start, half) + _pairwise_columns(x, start + half, n - half)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, bit-identical to the plain numpy formulation."""
     e = np.subtract(x, row_max(x)[..., np.newaxis])
     np.exp(e, out=e)
-    e /= row_sum(e)[..., np.newaxis]
+    e /= e.sum(axis=-1)[..., np.newaxis]
     return e
 
 
@@ -520,7 +478,7 @@ class AttentionPredictor:
             d_out_h = dh.reshape(batch, t_q, heads, d_head).transpose(0, 2, 1, 3)
             attn, qh, kh, vh = entry["attn"], entry["qh"], entry["kh"], entry["vh"]
             d_scores = d_out_h @ vh.swapaxes(-1, -2)
-            d_scores -= row_sum(d_scores * attn)[..., np.newaxis]
+            d_scores -= (d_scores * attn).sum(axis=-1)[..., np.newaxis]
             d_scores *= attn
 
             # dq, dk and dv go straight to their columns of the projection

@@ -9,9 +9,8 @@ indices; when both are given the sidecar wins.
 from __future__ import annotations
 
 import csv
-import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import IO, Mapping, Sequence
 

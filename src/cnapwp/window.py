@@ -2,17 +2,11 @@
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from typing import Iterator
 
 from .errors import ConfigurationError
 from .preprocessing import EncodedSample
 from .stream import Event
-
-
-class UpdateSignal(Enum):
-    NONE = "none"
-    WINDOW_FULL = "window_full"
 
 
 class SlidingWindow:
@@ -33,7 +27,7 @@ class SlidingWindow:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def push(self, event: Event, sample: EncodedSample | None = None) -> UpdateSignal:
+    def push(self, event: Event, sample: EncodedSample | None = None) -> bool:
         self._buffer.append((event, sample))
         self._by_case.setdefault(event.case_id, deque()).append(event.activity)
         if len(self._buffer) > self.capacity:
@@ -45,8 +39,8 @@ class SlidingWindow:
         self._since_update += 1
         if self._since_update >= self.capacity:
             self._since_update = 0
-            return UpdateSignal.WINDOW_FULL
-        return UpdateSignal.NONE
+            return True
+        return False
 
     def activities_for_case(self, case_id: str) -> list[str]:
         """The case's activities currently in the window, oldest first."""

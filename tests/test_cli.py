@@ -463,6 +463,10 @@ def test_report_missing_records_exits_2(tmp_path, capsys):
     assert "records.csv" in capsys.readouterr().err
 
 
+def edit_summary(text, **fields):
+    return json.dumps({**json.loads(text), **fields})
+
+
 @pytest.mark.parametrize(
     "name, edit, code, message",
     [
@@ -470,8 +474,28 @@ def test_report_missing_records_exits_2(tmp_path, capsys):
         ("records.csv", lambda t: t.replace("\n", "\n0,c,a\n", 1), 3, "line 2: bad record"),
         ("records.csv", lambda t: "\n".join([*t.split("\n")[:2], "0,c,a,b,x,1,0", ""]), 3, "line 3: bad record"),
         ("summary.json", lambda t: t[:-5], 3, "bad summary"),
+        ("summary.json", lambda t: edit_summary(t, config={"window_size": "x"}), 3, "config.window_size"),
+        ("summary.json", lambda t: edit_summary(t, config=[1]), 3, "config is not an object"),
+        ("summary.json", lambda t: edit_summary(t, task_labels=5), 3, "task_labels"),
+        ("summary.json", lambda t: edit_summary(t, strategy=5), 3, "strategy is not a string"),
+        ("summary.json", lambda t: edit_summary(t, drift_indices="abc"), 3, "drift_indices"),
+        # bool subclasses int in Python, but a JSON true is no window size.
+        ("summary.json", lambda t: edit_summary(t, config={"window_size": True}), 3, "config.window_size"),
+        ("summary.json", lambda t: edit_summary(t, drift_indices=[False]), 3, "drift_indices"),
     ],
-    ids=["missing-column", "short-row", "non-integer-field", "truncated-summary"],
+    ids=[
+        "missing-column",
+        "short-row",
+        "non-integer-field",
+        "truncated-summary",
+        "string-window-size",
+        "config-not-object",
+        "task-labels-not-list",
+        "strategy-not-string",
+        "drift-indices-string",
+        "bool-window-size",
+        "bool-drift-index",
+    ],
 )
 def test_report_malformed_run_exits_cleanly(run_dirs, tmp_path, capsys, name, edit, code, message):
     run = tmp_path / "run"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cnapwp.baselines import CNAPWP, LAST_DRIFT, NO_PROMPT
+from cnapwp.baselines import CNAPWP, LANDMARK, LAST_DRIFT, NO_PROMPT
 from cnapwp.engine import (
     EngineConfig,
     OnlineEngine,
@@ -110,7 +110,18 @@ def test_since_drift_memory_clears_at_drift():
     engine.prepare(stream)
     engine.consume(stream)
     # 10 events arrived since the last drift.
-    assert len(engine._since_drift_samples) == 10
+    assert len(engine._memory) == 10
+
+
+def test_all_memory_keeps_every_sample():
+    stream = concept_stream()
+    engine = OnlineEngine(recognition_config(window_size=4), LANDMARK)
+    engine.prepare(stream)
+    engine.consume(stream)
+    # Both drifts passed and seven updates ran, yet no sample left the memory.
+    assert len(stream.drift_indices) == 2
+    assert len(engine._memory) == len(stream.events) == 30
+    assert [s.target for s in engine._memory[-4:]] == [s.target for s in engine.window.samples()]
 
 
 def test_vocabulary_growth_mid_consume():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cnapwp.errors import ConfigurationError
 from cnapwp.preprocessing import ActivityVocabulary, BucketConfig, build_prefix, encode
 from cnapwp.stream import Event
-from cnapwp.window import SlidingWindow, UpdateSignal, partition_batches
+from cnapwp.window import SlidingWindow, partition_batches
 
 
 def test_window_keeps_newest_capacity_events():
@@ -20,7 +20,7 @@ def test_window_keeps_newest_capacity_events():
 def test_window_signals_every_capacity_pushes():
     window = SlidingWindow(3)
     signals = [window.push(Event("c", str(i))) for i in range(9)]
-    fired = [i for i, s in enumerate(signals) if s is UpdateSignal.WINDOW_FULL]
+    fired = [i for i, full in enumerate(signals) if full is True]
     assert fired == [2, 5, 8]
 
 
@@ -28,8 +28,8 @@ def test_eviction_does_not_reset_the_counter():
     window = SlidingWindow(4)
     for i in range(6):  # two evictions happen before the second signal
         window.push(Event("c", str(i)))
-    assert window.push(Event("c", "x")) is UpdateSignal.NONE
-    assert window.push(Event("c", "y")) is UpdateSignal.WINDOW_FULL
+    assert window.push(Event("c", "x")) is False
+    assert window.push(Event("c", "y")) is True
 
 
 def test_per_case_history_tracks_eviction():
@@ -64,9 +64,7 @@ def test_window_capacity_validation():
 @given(capacity=st.integers(min_value=1, max_value=10), n=st.integers(min_value=0, max_value=60))
 def test_signal_cadence_property(capacity, n):
     window = SlidingWindow(capacity)
-    count = sum(
-        1 for i in range(n) if window.push(Event("c", str(i))) is UpdateSignal.WINDOW_FULL
-    )
+    count = sum(1 for i in range(n) if window.push(Event("c", str(i))) is True)
     assert count == n // capacity
     assert len(window) == min(n, capacity)
 
