@@ -16,11 +16,15 @@ import configparser
 import dataclasses
 import itertools
 import json
+import os
+import platform
 import shutil
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baselines import ABLATION_CONDITIONS, STRATEGIES, map_jobs, worker_cap
@@ -128,8 +132,22 @@ def _write_manifest(outdir: Path, command: str, params: dict) -> None:
         "created": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "params": params,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "nproc": os.cpu_count() or 1,
+        "CNAPWP_THREADS": os.environ.get("CNAPWP_THREADS"),
     }
     write_json(manifest, outdir / "manifest.json")
+
+
+def _blas() -> str:
+    """Name and version of numpy's BLAS, which computes the model's matrix products."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return "unknown"
 
 
 def _load_stream(args):

@@ -513,7 +513,7 @@ class AttentionPredictor:
             w, b = self.layers_qkv[layer]
             h_in = entry["h_in"]
             if w.trainable:
-                w.grad += np.einsum("btw,btk->wk", h_in, d_proj)
+                w.grad += h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)
             if b.trainable:
                 b.grad += d_proj.sum(axis=(0, 1))
             if layer == 0 and not entry["prepended"]:

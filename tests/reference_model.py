@@ -6,6 +6,13 @@ epoch. ``test_model_bit_identity`` runs them beside ``cnapwp.model`` and
 requires byte-identical parameters, so the faster code there cannot drift in
 rounding. They take the model as an argument, read its parameters and prompt
 layout, and change nothing but the ``.value`` and ``.grad`` of parameters.
+
+The QKV weight gradient is one matrix product on the ``(batch * t, width)``
+reshape of the layer input and of the projection gradient, as in
+``cnapwp.model``. It groups its sums differently from
+``einsum("btw,btk->wk", ...)`` over the same terms, so its bytes are pinned
+here, and ``test_qkv_weight_gradient_is_the_einsum_contraction`` swaps
+``qkv_weight_gradient`` for that ``einsum`` to show that it is the same sum.
 """
 from __future__ import annotations
 
@@ -172,7 +179,7 @@ def backward(model, cache, targets):
         w, b = model.layers_qkv[layer]
         h_in = entry["h_in"]
         if w.trainable:
-            w.grad += np.einsum("btw,btk->wk", h_in, d_proj)
+            w.grad += qkv_weight_gradient(h_in, d_proj)
         if b.trainable:
             b.grad += d_proj.sum(axis=(0, 1))
         dh = d_proj @ w.value.T
@@ -186,6 +193,11 @@ def backward(model, cache, targets):
                     block.tokens.grad += d_tokens[offset : offset + n]
                 offset += n
             dh = dh[:, entry["prepended"] :]
+
+
+def qkv_weight_gradient(h_in, d_proj):
+    """``h_in`` (batch, t, width) against ``d_proj`` (batch, t, 3 d): one product over batch and t."""
+    return h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, d_proj.shape[-1])
 
 
 def sgd_step(parameters, lr):

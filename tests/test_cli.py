@@ -3,11 +3,14 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import platform
 import shutil
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -426,6 +429,31 @@ def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [
+        (["run", "--strategy", "full"], None),
+        (["sweep", "--window", "30", "--buffer", "8", "--threshold", "0.6"], "1"),
+        (["ablate", "--conditions", "full", "--seeds", "3"], "1"),
+    ],
+)
+def test_manifest_names_what_produced_the_run(gen_dir, tmp_path, monkeypatch, argv, threads):
+    if threads is None:
+        monkeypatch.delenv("CNAPWP_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CNAPWP_THREADS", threads)
+    out = tmp_path / argv[0]
+    assert main(argv + ["--stream", str(gen_dir / "stream.csv"), "--out", str(out)] + FAST) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+    assert manifest["nproc"] == os.cpu_count()
+    assert manifest["CNAPWP_THREADS"] == threads
 
 
 def test_ablate_unknown_condition_exits_2(gen_dir, tmp_path, capsys):

@@ -115,6 +115,32 @@ def test_grown_vocabulary_with_narrow_encodings_matches_the_reference(layout):
     assert_same_update(setup, batches)
 
 
+def qkv_weight_gradients(setup, x, targets, backward):
+    """Each layer's ``wqkv`` gradient after one backward pass on a copy of ``setup``."""
+    model, general, expert = copy.deepcopy(setup)
+    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1, train=True, rng=np.random.default_rng(8))
+    backward(model, cache, targets)
+    return {w.name: w.grad for w, _ in model.layers_qkv}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("case", ["batch", "batch-of-one", "grown-vocabulary"])
+def test_qkv_weight_gradient_is_the_einsum_contraction(layout, case, monkeypatch):
+    # The GEMM on the (batch * t, width) reshape regroups the einsum's sums, nothing more.
+    setup = build(*layout, input_width=10)  # the samples below are encoded 10 wide
+    if case == "grown-vocabulary":
+        grow_vocabulary(setup[0], 14, 13, general=setup[1], expert_sets=[setup[2]])
+    chunk = samples(np.random.default_rng(5), 1 if case == "batch-of-one" else BATCH, 10, setup[0].n_classes)
+    x, targets = np.stack([s.input for s in chunk]), np.array([s.target for s in chunk])
+    gemm = qkv_weight_gradients(setup, x, targets, AttentionPredictor.backward)
+    monkeypatch.setattr(ref, "qkv_weight_gradient", lambda h_in, d_proj: np.einsum("btw,btk->wk", h_in, d_proj))
+    einsum = qkv_weight_gradients(setup, x, targets, ref.backward)
+    assert sorted(gemm) == ["layer0.wqkv", "layer1.wqkv"]
+    for name, grad in gemm.items():
+        assert np.any(grad), name
+        np.testing.assert_allclose(grad, einsum[name], rtol=1e-12, atol=0, err_msg=name)
+
+
 # -- reduction helpers ----------------------------------------------------------------
 
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
