@@ -186,6 +186,8 @@ def _resolve_strategy(name: str):
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     builtin = builtin_processes()
     pools = {}
     for spec in args.pool:
@@ -341,6 +343,7 @@ def cmd_ablate(args) -> int:
                 f"unknown condition {name!r}; choose from {sorted(set(ABLATION_CONDITIONS) | set(STRATEGIES))}"
             )
     seeds = _parse_list(args.seeds, int, "--seeds")
+    configs = {seed: dataclasses.replace(base, seed=seed) for seed in seeds}  # validates each seed
     workers = worker_cap(args.workers)
     stream, drift_source = _load_stream(args)
     for name, strategy in conditions.items():
@@ -358,7 +361,7 @@ def cmd_ablate(args) -> int:
         },
     )
     keys = list(itertools.product(conditions, seeds))
-    jobs = [(stream, dataclasses.replace(base, seed=seed), conditions[name]) for name, seed in keys]
+    jobs = [(stream, configs[seed], conditions[name]) for name, seed in keys]
     t0 = time.perf_counter()
     reports = map_jobs(run_session, jobs, workers)
 

@@ -15,6 +15,7 @@ measured pass, so vocabulary, model, prompts, and task store carry over.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -120,12 +121,14 @@ class EngineConfig:
             raise ConfigurationError("buckets must be >= 2")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be a finite positive number, got {self.lr}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigurationError("validation_fraction must be in (0, 1)")
         if self.fingerprint_cap < 1:
             raise ConfigurationError("fingerprint_cap must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def model_config(self, strategy: StrategySpec) -> ModelConfig:
         return ModelConfig(
@@ -229,7 +232,7 @@ class OnlineEngine:
         # Test: the case's in-window history is the prefix, this activity the target.
         prefix = build_prefix(event, self.window, self.vocab, cfg.max_len)
         sample = encode(prefix, event.activity, self.vocab, self.bucket_config)
-        if sample.vocab_grew:
+        if self.vocab.width > self.model.input_width:
             self._grow()
         if strat.use_expert:
             task_at_prediction = self.active_task_id

@@ -291,7 +291,7 @@ class AttentionPredictor:
         self.dense_b = Parameter(np.zeros(head_width), "dense.b")
         self.cls_w = Parameter(_fan_uniform(rng, head_width, n_classes), "classifier.w")
         self.cls_b = Parameter(np.zeros(n_classes), "classifier.b")
-        # predict() results by (general, expert, bucket, input bytes); valid only
+        # predict() results by (general, expert, bucket, activity indices); valid only
         # while no parameter changes, so train_window and grow clear it.
         self._predictions: dict[tuple, tuple[np.ndarray, int]] = {}
 
@@ -326,16 +326,6 @@ class AttentionPredictor:
             sources.append(("bucket", expert.bucket_blocks[bucket_id][layer]))
         return sources
 
-    def _pad_input(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] > self.input_width:
-            raise ConfigurationError(
-                f"input width {x.shape[-1]} exceeds model width {self.input_width}; grow the model first"
-            )
-        if x.shape[-1] < self.input_width:
-            pad = np.zeros((*x.shape[:-1], self.input_width - x.shape[-1]))
-            x = np.concatenate((x, pad), axis=-1)
-        return x
-
     def forward(
         self,
         x: np.ndarray,
@@ -346,17 +336,15 @@ class AttentionPredictor:
         rng: np.random.Generator | None = None,
         want_cache: bool = True,
     ) -> tuple[np.ndarray, ForwardCache | None]:
-        """Run a batch [B, max_len, width] (or one sample [max_len, width]) to class probabilities.
-
-        Narrow inputs encoded under an older vocabulary are zero-padded, which
-        is exactly the grown model's semantics for them.
-        """
+        """Run a batch [B, max_len, input_width] (or one sample [max_len, input_width]) to class probabilities."""
         single = x.ndim == 2
         if single:
             x = x[np.newaxis]
-        x = self._pad_input(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.cfg.max_len:
-            raise ConfigurationError(f"expected {self.cfg.max_len} input rows, got {x.shape[1]}")
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[1:] != (self.cfg.max_len, self.input_width):
+            raise ConfigurationError(
+                f"expected {(self.cfg.max_len, self.input_width)} input rows x width per sample, got {x.shape[1:]}"
+            )
         batch = x.shape[0]
         cfg = self.cfg
         scale = 1.0 / math.sqrt(self.d_head)
@@ -538,17 +526,16 @@ class AttentionPredictor:
     ) -> tuple[np.ndarray, int]:
         """Evaluate one sample; returns (read-only probabilities, predicted ordinal index).
 
-        Argmax ties resolve to the lowest class index. A repeated input, under
+        Argmax ties resolve to the lowest class index. A repeated prefix, under
         the same prompt objects and bucket, is answered from the cache: without
         training, ``forward`` is a pure function of the parameters and these.
         The prompts are held in the key, so their ids cannot be reused.
         """
-        key = (general, expert, sample.bucket, sample.input.tobytes())
+        key = (general, expert, sample.bucket, sample.activities)
         hit = self._predictions.get(key)
         if hit is None:
-            probs, _ = self.forward(
-                sample.input, general=general, expert=expert, bucket_id=sample.bucket, train=False, want_cache=False
-            )
+            x = one_hot(sample.activities, self.input_width)
+            probs, _ = self.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
             probs.flags.writeable = False
             hit = self._predictions[key] = (probs, int(np.argmax(probs)) + 1)
         return hit
@@ -587,7 +574,7 @@ def grow_vocabulary(
 ) -> None:
     """Zero-extend the model (and any prompt-mode first-layer token blocks) for a larger vocabulary.
 
-    On inputs encoded under the old vocabulary the zero extensions cancel, so
+    On indices interned under the old vocabulary the zero extensions cancel, so
     previous logits survive up to float roundoff (the widened contraction axis
     can regroup the sums), and growing in several steps equals growing once.
     """
@@ -632,11 +619,18 @@ def sgd_step(parameters: Iterable[Parameter], lr: float) -> None:
         p.grad[...] = 0.0
 
 
-def stack_samples(samples: Sequence[EncodedSample], input_width: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into one batch, zero-padding older narrow encodings."""
-    x = np.zeros((len(samples), max_len, input_width))
-    for i, s in enumerate(samples):
-        x[i, :, : s.input.shape[1]] = s.input
+def one_hot(indices, width: int) -> np.ndarray:
+    """Float64 one-hot rows ``width`` wide for an index array of any shape: the one
+    place where samples' activity indices become model input, at the model's current width."""
+    indices = np.asarray(indices)
+    x = np.zeros((indices.size, width))
+    x[np.arange(indices.size), indices.ravel()] = 1.0
+    return x.reshape(*indices.shape, width)
+
+
+def stack_samples(samples: Sequence[EncodedSample], input_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """One batch [len(samples), max_len, input_width] of one-hot rows, and its targets."""
+    x = one_hot([s.activities for s in samples], input_width)
     targets = np.array([s.target for s in samples], dtype=np.int64)
     return x, targets
 
@@ -656,7 +650,6 @@ def train_window(
     model._predictions.clear()
     if not batches or epochs < 1:
         return
-    width, max_len = model.input_width, model.cfg.max_len
     # Stacks and parameter lists do not change across epochs: build them once per pass.
     plan = []
     for bucket_id, chunks in batches:
@@ -665,7 +658,7 @@ def train_window(
             params.extend(general.parameters())
         if expert is not None:
             params.extend(expert.parameters(active_bucket=bucket_id))
-        plan.append((bucket_id, [stack_samples(chunk, width, max_len) for chunk in chunks], params))
+        plan.append((bucket_id, [stack_samples(chunk, model.input_width) for chunk in chunks], params))
     for _ in range(epochs):
         for bucket_id, stacked, params in plan:
             for x, targets in stacked:

@@ -1,4 +1,4 @@
-"""Prefix construction, one-hot encoding, and prefix-length bucketing.
+"""Prefix construction, sample encoding, and prefix-length bucketing.
 
 Activity index 0 is the padding token and is never assigned to a real
 activity. A prefix holds the in-window history of a case, left padded to
@@ -12,8 +12,6 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .stream import Event
@@ -48,15 +46,14 @@ class ActivityVocabulary:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
 
-    def intern(self, label: str) -> tuple[int, bool]:
-        """Return (index, grew). Existing labels keep their index forever."""
+    def intern(self, label: str) -> int:
+        """Return the label's index, appending an unseen label. Existing labels keep their index forever."""
         idx = self._index.get(label)
-        if idx is not None:
-            return idx, False
-        idx = len(self._labels) + 1
-        self._labels.append(label)
-        self._index[label] = idx
-        return idx, True
+        if idx is None:
+            idx = len(self._labels) + 1
+            self._labels.append(label)
+            self._index[label] = idx
+        return idx
 
     def index_of(self, label: str) -> int | None:
         return self._index.get(label)
@@ -76,15 +73,17 @@ class Prefix:
     effective_len: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EncodedSample:
-    """Model-ready sample: one-hot input rows, ordinal target, bucket id."""
+    """Model-ready sample: left-padded activity indices, ordinal target, bucket id.
 
-    input: np.ndarray  # [max_len, |V|+1] float64, each row one-hot
+    The indices stay valid as the vocabulary grows; ``cnapwp.model.one_hot``
+    turns them into rows at the model's current width.
+    """
+
+    activities: tuple[int, ...]  # max_len indices in [0, |V|], 0 is padding
     target: int  # in [1, |V|]
     bucket: int
-    effective_len: int
-    vocab_grew: bool
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def build_prefix(event: Event, window_view, vocab: ActivityVocabulary, max_len: 
     else:
         history = [e.activity for e in window_view if e.case_id == event.case_id]
     recent = history[-max_len:] if max_len > 0 else []
-    indices = tuple(vocab.intern(a)[0] for a in recent)
+    indices = tuple(vocab.intern(a) for a in recent)
     padded = (PAD_INDEX,) * (max_len - len(indices)) + indices
     return Prefix(event.case_id, padded, len(indices))
 
@@ -131,17 +130,14 @@ def encode(
     vocab: ActivityVocabulary,
     bucket_config: BucketConfig | None = None,
 ) -> EncodedSample:
-    """One-hot encode a prefix against the current vocabulary.
+    """Pair a prefix with its target index and length bucket.
 
-    Interning an unseen target label appends a new index and flags the sample
-    with ``vocab_grew`` so the caller can widen the model.
+    Interning an unseen target label appends a new index, so the vocabulary's
+    width can outgrow the model's: the caller compares the two and widens it.
     """
-    target, grew = vocab.intern(target_activity)
-    max_len = len(prefix.activities)
-    x = np.zeros((max_len, vocab.width), dtype=np.float64)
-    x[np.arange(max_len), prefix.activities] = 1.0
+    target = vocab.intern(target_activity)
     bucket = assign_bucket(prefix.effective_len, bucket_config) if bucket_config is not None else 1
-    return EncodedSample(x, target, bucket, prefix.effective_len, grew)
+    return EncodedSample(prefix.activities, target, bucket)
 
 
 def fit_buckets(length_histogram: Mapping[int, int], bucket_count: int, max_len: int) -> BucketConfig:

@@ -34,7 +34,7 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
     single = x.ndim == 2
     if single:
         x = x[np.newaxis]
-    x = model._pad_input(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.cfg.max_len:
         raise ConfigurationError(f"expected {model.cfg.max_len} input rows, got {x.shape[1]}")
     batch = x.shape[0]
@@ -213,7 +213,7 @@ def train_window(model, batches, epochs, lr, general=None, expert=None, rng=None
     for _ in range(epochs):
         for bucket_id, chunks in batches:
             for chunk in chunks:
-                x, targets = stack_samples(chunk, model.input_width, model.cfg.max_len)
+                x, targets = stack_samples(chunk, model.input_width)
                 _, cache = forward(model, x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng)
                 backward(model, cache, targets)
                 params = list(model.parameters())

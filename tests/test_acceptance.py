@@ -133,9 +133,8 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
     rng = np.random.default_rng(5)
     chunk = []
     for _ in range(6):
-        x = np.zeros((3, 4))
-        x[np.arange(3), rng.integers(0, 4, 3)] = 1.0
-        chunk.append(EncodedSample(input=x, target=int(rng.integers(1, 4)), bucket=2, effective_len=3, vocab_grew=False))
+        activities = tuple(int(i) for i in rng.integers(0, 4, 3))
+        chunk.append(EncodedSample(activities=activities, target=int(rng.integers(1, 4)), bucket=2))
 
     def bucket_values(bucket_id):
         return [p.value.copy() for block in expert.bucket_blocks[bucket_id].values() for p in block.parameters()]

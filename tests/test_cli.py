@@ -114,6 +114,14 @@ def test_gen_unknown_concept_exits_2(tmp_path, capsys):
     assert "unknown concept" in capsys.readouterr().err
 
 
+def test_gen_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    code = main(["gen", "--out", str(tmp_path / "s"), "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_gen_bad_pool_spec_exits_2(tmp_path, capsys):
     code = main(["gen", "--out", str(tmp_path / "s"), "--pool", "oops"])
     assert code == 2
@@ -418,6 +426,11 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         (["sweep", "--window", "20"], "abc"),
         (["ablate", "--seeds", "1,x"], None),
         (["ablate", "--seeds", "1"], "abc"),
+        (["run", "--set", "seed=-1"], None),
+        (["sweep", "--set", "seed=-1"], None),
+        (["ablate", "--seeds", "1,-1"], None),
+        (["run", "--set", "lr=nan"], None),
+        (["run", "--set", "lr=inf"], None),
     ],
 )
 def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):

@@ -3,6 +3,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cnapwp.errors import ConfigurationError, NumericError
 from cnapwp.model import (
@@ -16,6 +19,7 @@ from cnapwp.model import (
     init_expert_prompts,
     init_general_prompt,
     mean_cross_entropy,
+    one_hot,
     softmax,
     stack_samples,
     train_window,
@@ -38,10 +42,7 @@ def make_prompts(model, seed=11, bucket_ids=(1, 2)):
 
 
 def one_hot_batch(model, rng, batch=3):
-    x = np.zeros((batch, model.cfg.max_len, model.input_width))
-    idx = rng.integers(0, model.input_width, size=(batch, model.cfg.max_len))
-    x[np.arange(batch)[:, None], np.arange(model.cfg.max_len)[None, :], idx] = 1.0
-    return x
+    return one_hot(rng.integers(0, model.input_width, size=(batch, model.cfg.max_len)), model.input_width)
 
 
 # -- loss ------------------------------------------------------------------------
@@ -142,21 +143,12 @@ def test_forward_single_sample_squeezes():
     assert probs.shape == (model.n_classes,)
 
 
-def test_forward_pads_narrow_inputs():
-    model = make_model(input_width=6)
-    x = np.zeros((2, 4, 4))
-    x[..., 0] = 1.0
-    wide = np.zeros((2, 4, 6))
-    wide[..., 0] = 1.0
-    narrow_probs, _ = model.forward(x, want_cache=False)
-    wide_probs, _ = model.forward(wide, want_cache=False)
-    assert np.array_equal(narrow_probs, wide_probs)
-
-
 def test_forward_rejects_wrong_shapes():
     model = make_model(input_width=4)
     with pytest.raises(ConfigurationError):
         model.forward(np.zeros((2, 4, 9)))  # wider than the model
+    with pytest.raises(ConfigurationError):
+        model.forward(np.zeros((2, 4, 3)))  # narrower than the model
     with pytest.raises(ConfigurationError):
         model.forward(np.zeros((2, 3, 4)))  # wrong sequence length
 
@@ -288,7 +280,8 @@ def build_prefix_like(history, vocab, max_len):
 
 
 def _logits_for(model, sample, general, expert):
-    _, cache = model.forward(sample.input, general=general, expert=expert, bucket_id=sample.bucket)
+    x = one_hot(sample.activities, model.input_width)
+    _, cache = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket)
     return cache.dense_out @ model.cls_w.value + model.cls_b.value
 
 
@@ -360,16 +353,22 @@ def test_sgd_step_skips_frozen_parameters():
     assert np.array_equal(p.grad, np.zeros(3)) and np.array_equal(q.grad, np.zeros(3))
 
 
-def test_stack_samples_pads_narrow_encodings():
-    vocab = ActivityVocabulary(["a"])
-    s1 = _encode_under(vocab, ["a"], "a")  # width 2 at this point
-    vocab.intern("b")
-    s2 = _encode_under(vocab, ["a", "b"], "b")  # width 3
-    x, targets = stack_samples([s1, s2], input_width=3, max_len=4)
-    assert x.shape == (2, 4, 3)
-    assert np.array_equal(x[0, :, :2], s1.input)
-    assert np.array_equal(x[0, :, 2], np.zeros(4))
-    assert targets.tolist() == [1, 2]
+index_arrays = st.integers(1, 60).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        arrays(
+            np.int64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12), elements=st.integers(0, width - 1)
+        ),
+    )
+)
+
+
+@given(index_arrays)
+def test_one_hot_is_rows_of_the_identity(case):
+    width, indices = case
+    x = one_hot(indices, width)
+    assert x.dtype == np.float64 and x.flags.c_contiguous
+    assert np.array_equal(x, np.eye(width)[indices])
 
 
 def test_train_window_learns_a_fixed_mapping():
@@ -384,7 +383,7 @@ def test_train_window_learns_a_fixed_mapping():
     rule = [(["a", "b"], "c"), (["b", "c"], "a"), (["c", "a"], "b")]
     samples = [_encode_under(vocab, history, target) for history, target in rule * 4]
     batches = [(1, [samples])]
-    x, targets = stack_samples(samples, model.input_width, model.cfg.max_len)
+    x, targets = stack_samples(samples, model.input_width)
 
     def loss():
         probs, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
@@ -417,7 +416,8 @@ def _cached_setup():
 
 
 def _uncached(model, sample, general, expert):
-    probs, _ = model.forward(sample.input, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
+    x = one_hot(sample.activities, model.input_width)
+    probs, _ = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
     return probs
 
 

@@ -23,6 +23,7 @@ from cnapwp.model import (
     grow_vocabulary,
     init_expert_prompts,
     init_general_prompt,
+    one_hot,
     row_max,
     softmax,
     train_window,
@@ -49,14 +50,13 @@ def build(mode, general_layers, dropout=0.1, input_width=12, seed=3):
 def samples(rng, count, width, n_classes, max_len=10, bucket=1):
     out = []
     for _ in range(count):
-        x = np.zeros((max_len, width))
-        x[np.arange(max_len), rng.integers(0, width, max_len)] = 1.0
-        out.append(EncodedSample(x, int(rng.integers(1, n_classes + 1)), bucket, max_len, False))
+        activities = tuple(int(i) for i in rng.integers(0, width, max_len))
+        out.append(EncodedSample(activities, int(rng.integers(1, n_classes + 1)), bucket))
     return out
 
 
 def two_buckets(model, rng, sizes=((BATCH, 7), (BATCH, 1))):
-    """Bucket 1 and 2 chunks encoded at the model's current width."""
+    """Bucket 1 and 2 chunks with indices below the model's current width."""
     return [
         (bucket, [samples(rng, n, model.input_width, model.n_classes, bucket=bucket) for n in chunk_sizes])
         for bucket, chunk_sizes in zip((1, 2), sizes)
@@ -105,13 +105,14 @@ def test_frozen_backbone_matches_the_reference(layout):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_grown_vocabulary_with_narrow_encodings_matches_the_reference(layout):
+def test_grown_vocabulary_matches_the_reference(layout):
+    # Samples from before the growth hold only indices below the old width; later ones use the new indices too.
     model, general, expert = setup = build(*layout, input_width=10)
     rng = np.random.default_rng(4)
-    narrow = two_buckets(model, rng, sizes=((BATCH,), (5,)))
+    old = two_buckets(model, rng, sizes=((BATCH,), (5,)))
     grow_vocabulary(model, 14, 13, general=general, expert_sets=[expert])
-    wide = two_buckets(model, rng, sizes=((BATCH,), (BATCH,)))
-    batches = [(bucket, narrow_chunks + wide_chunks) for (bucket, narrow_chunks), (_, wide_chunks) in zip(narrow, wide)]
+    new = two_buckets(model, rng, sizes=((BATCH,), (BATCH,)))
+    batches = [(bucket, old_chunks + new_chunks) for (bucket, old_chunks), (_, new_chunks) in zip(old, new)]
     assert_same_update(setup, batches)
 
 
@@ -127,11 +128,12 @@ def qkv_weight_gradients(setup, x, targets, backward):
 @pytest.mark.parametrize("case", ["batch", "batch-of-one", "grown-vocabulary"])
 def test_qkv_weight_gradient_is_the_einsum_contraction(layout, case, monkeypatch):
     # The GEMM on the (batch * t, width) reshape regroups the einsum's sums, nothing more.
-    setup = build(*layout, input_width=10)  # the samples below are encoded 10 wide
+    setup = build(*layout, input_width=10)  # the samples below hold indices below 10
     if case == "grown-vocabulary":
         grow_vocabulary(setup[0], 14, 13, general=setup[1], expert_sets=[setup[2]])
     chunk = samples(np.random.default_rng(5), 1 if case == "batch-of-one" else BATCH, 10, setup[0].n_classes)
-    x, targets = np.stack([s.input for s in chunk]), np.array([s.target for s in chunk])
+    x = one_hot([s.activities for s in chunk], setup[0].input_width)
+    targets = np.array([s.target for s in chunk])
     gemm = qkv_weight_gradients(setup, x, targets, AttentionPredictor.backward)
     monkeypatch.setattr(ref, "qkv_weight_gradient", lambda h_in, d_proj: np.einsum("btw,btk->wk", h_in, d_proj))
     einsum = qkv_weight_gradients(setup, x, targets, ref.backward)

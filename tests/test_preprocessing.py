@@ -1,10 +1,11 @@
-"""Vocabulary, prefix building, one-hot encoding, and length buckets."""
+"""Vocabulary, prefix building, sample encoding, and length buckets."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnapwp.errors import ConfigurationError
+from cnapwp.model import one_hot
 from cnapwp.preprocessing import (
     PAD_INDEX,
     PAD_LABEL,
@@ -24,9 +25,9 @@ from cnapwp.window import SlidingWindow
 
 def test_vocabulary_interning():
     vocab = ActivityVocabulary()
-    assert vocab.intern("a") == (1, True)
-    assert vocab.intern("b") == (2, True)
-    assert vocab.intern("a") == (1, False)
+    assert vocab.intern("a") == 1
+    assert vocab.intern("b") == 2
+    assert vocab.intern("a") == 1
     assert len(vocab) == 2
     assert vocab.width == 3
     assert "a" in vocab and "z" not in vocab
@@ -112,24 +113,26 @@ def test_encode_one_hot_rows():
     window.push(Event("c", "b"))
     prefix = build_prefix(Event("c", "a"), window, vocab, max_len=3)
     sample = encode(prefix, "a", vocab, None)
-    assert sample.input.shape == (3, vocab.width)
-    assert np.array_equal(sample.input.sum(axis=1), np.ones(3))
-    assert sample.input[0, PAD_INDEX] == 1.0
-    assert sample.input[1, 1] == 1.0
-    assert sample.input[2, 2] == 1.0
+    assert sample.activities == (PAD_INDEX, 1, 2)
+    x = one_hot(sample.activities, vocab.width)
+    assert x.shape == (3, vocab.width)
+    assert np.array_equal(x.sum(axis=1), np.ones(3))
+    assert x[0, PAD_INDEX] == 1.0
+    assert x[1, 1] == 1.0
+    assert x[2, 2] == 1.0
     assert sample.target == 1
     assert sample.bucket == 1
-    assert not sample.vocab_grew
 
 
 def test_encode_flags_vocabulary_growth():
     vocab = ActivityVocabulary(["a"])
     prefix = build_prefix(Event("c", "new"), SlidingWindow(5), vocab, max_len=2)
+    assert vocab.width == 2
     sample = encode(prefix, "new", vocab, None)
-    assert sample.vocab_grew
+    assert vocab.width == 3  # the engine widens its model on this
     assert sample.target == 2
     again = encode(prefix, "new", vocab, None)
-    assert not again.vocab_grew
+    assert vocab.width == 3 and again == sample
 
 
 def test_encode_assigns_bucket():

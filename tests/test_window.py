@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnapwp.errors import ConfigurationError
-from cnapwp.preprocessing import ActivityVocabulary, BucketConfig, build_prefix, encode
+from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, build_prefix, encode
 from cnapwp.stream import Event
 from cnapwp.window import SlidingWindow, partition_batches
 
@@ -87,7 +87,7 @@ def test_partition_orders_buckets_and_chunks():
     samples = _samples_with_lengths([3, 0, 1, 4, 2, 5], config)
     batches = partition_batches(samples, batch_size=2)
     assert [bucket for bucket, _ in batches] == [1, 2, 3]
-    by_bucket = {bucket: [s.effective_len for chunk in chunks for s in chunk] for bucket, chunks in batches}
+    by_bucket = {bucket: [8 - s.activities.count(PAD_INDEX) for chunk in chunks for s in chunk] for bucket, chunks in batches}
     assert by_bucket == {1: [0], 2: [1, 2], 3: [3, 4, 5]}  # arrival order within buckets
     assert all(len(chunk) <= 2 for _, chunks in batches for chunk in chunks)
 
