@@ -6,7 +6,7 @@ split, ``ablate`` runs the prompt ablation (and optional baselines) over
 several seeds, and ``report`` renders SVG summaries from saved run folders.
 
 Exit codes: 0 success, 2 for configuration and usage problems, 3 for data and
-runtime failures. Commands that write a result folder put a ``manifest.json``
+runtime failures, running out of memory included. Commands that write a result folder put a ``manifest.json``
 in it before any computation starts, so aborted runs are recognizable.
 """
 from __future__ import annotations
@@ -543,6 +543,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

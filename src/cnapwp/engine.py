@@ -129,6 +129,7 @@ class EngineConfig:
             raise ConfigurationError("fingerprint_cap must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        self.model_config(StrategySpec("any"))  # a bad backbone or prompt layout fails here, before any output
 
     def model_config(self, strategy: StrategySpec) -> ModelConfig:
         return ModelConfig(

@@ -38,18 +38,14 @@ LOG_FLOOR = 1e-12
 
 
 class Parameter:
-    """A trainable float64 tensor with an accumulated gradient."""
+    """A float64 tensor; ``backward`` returns its gradient only while it is trainable."""
 
-    __slots__ = ("name", "value", "grad", "trainable")
+    __slots__ = ("name", "value", "trainable")
 
     def __init__(self, value: np.ndarray, name: str = "", trainable: bool = True):
         self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
         self.name = name
         self.trainable = trainable
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"
@@ -312,18 +308,18 @@ class AttentionPredictor:
 
     # -- forward / backward ------------------------------------------------
 
-    def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[tuple[str, PromptBlock]]:
+    def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[PromptBlock]:
         cfg = self.cfg
-        sources: list[tuple[str, PromptBlock]] = []
+        sources: list[PromptBlock] = []
         if cfg.use_general and general is not None and layer in cfg.general_layers and cfg.prompt_len > 0:
-            sources.append(("general", general.blocks[layer]))
+            sources.append(general.blocks[layer])
         if cfg.use_expert and expert is not None and layer in cfg.expert_layers and cfg.prompt_len > 0:
             if bucket_id is None:
                 raise ConfigurationError("expert prompts need a bucket id")
             if bucket_id not in expert.bucket_blocks:
                 raise ConfigurationError(f"no bucket {bucket_id} in expert prompt set")
-            sources.append(("task", expert.task_blocks[layer]))
-            sources.append(("bucket", expert.bucket_blocks[bucket_id][layer]))
+            sources.append(expert.task_blocks[layer])
+            sources.append(expert.bucket_blocks[bucket_id][layer])
         return sources
 
     def forward(
@@ -361,7 +357,7 @@ class AttentionPredictor:
             sources = self._gather_sources(layer, general, expert, bucket_id)
             prepended = 0
             if cfg.prompt_mode == PROMPT_MODE and sources:
-                tokens = np.concatenate([src.tokens.value for _, src in sources], axis=0)
+                tokens = np.concatenate([src.tokens.value for src in sources], axis=0)
                 prepended = tokens.shape[0]
                 h = np.concatenate((np.broadcast_to(tokens, (batch, *tokens.shape)), h), axis=1)
             w, b = self.layers_qkv[layer]
@@ -370,8 +366,8 @@ class AttentionPredictor:
             d = self.d_model
             q, k, v = proj[..., :d], proj[..., d : 2 * d], proj[..., 2 * d :]
             if cfg.prompt_mode == PREFIX_MODE and sources:
-                pk = np.concatenate([src.key.value for _, src in sources], axis=0)
-                pv = np.concatenate([src.value.value for _, src in sources], axis=0)
+                pk = np.concatenate([src.key.value for src in sources], axis=0)
+                pv = np.concatenate([src.value.value for src in sources], axis=0)
                 k_full, v_full = attach_prefix(pk, pv, k, v)
             else:
                 k_full, v_full = k, v
@@ -425,8 +421,9 @@ class AttentionPredictor:
             cache.probs = probs
         return (probs[0] if single else probs), cache
 
-    def backward(self, cache: ForwardCache, targets: np.ndarray) -> None:
-        """Accumulate gradients of the mean cross-entropy into every trainable parameter."""
+    def backward(self, cache: ForwardCache, targets: np.ndarray) -> list[tuple[Parameter, np.ndarray]]:
+        """Gradients of the mean cross-entropy: one (parameter, gradient) pair per
+        trainable parameter the forward pass used, each gradient a fresh array."""
         cfg = self.cfg
         batch = cache.batch_size
         targets = np.asarray(targets)
@@ -443,15 +440,16 @@ class AttentionPredictor:
         floored = cache.probs[rows, targets - 1] <= LOG_FLOOR
         dz[floored] = 0.0
 
+        grads = []
         if self.cls_w.trainable:
-            self.cls_w.grad += cache.dense_out.T @ dz
+            grads.append((self.cls_w, cache.dense_out.T @ dz))
         if self.cls_b.trainable:
-            self.cls_b.grad += dz.sum(axis=0)
+            grads.append((self.cls_b, dz.sum(axis=0)))
         d_dense = dz @ self.cls_w.value.T
         if self.dense_w.trainable:
-            self.dense_w.grad += cache.flat.T @ d_dense
+            grads.append((self.dense_w, cache.flat.T @ d_dense))
         if self.dense_b.trainable:
-            self.dense_b.grad += d_dense.sum(axis=0)
+            grads.append((self.dense_b, d_dense.sum(axis=0)))
         d_flat = d_dense @ self.dense_w.value.T
         dh = d_flat.reshape(batch, self.final_seq_len, self.d_model)
 
@@ -489,21 +487,21 @@ class AttentionPredictor:
                 dk_prompt = d_kh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
                 dv_prompt = d_vh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
                 offset = 0
-                for _, block in entry["sources"]:
+                for block in entry["sources"]:
                     n = block.key.value.shape[0]
                     if block.key.trainable:
-                        block.key.grad += dk_prompt[offset : offset + n]
+                        grads.append((block.key, dk_prompt[offset : offset + n]))
                     if block.value.trainable:
-                        block.value.grad += dv_prompt[offset : offset + n]
+                        grads.append((block.value, dv_prompt[offset : offset + n]))
                     offset += n
             d_proj = d_proj.reshape(batch, t_q, 3 * d)
 
             w, b = self.layers_qkv[layer]
             h_in = entry["h_in"]
             if w.trainable:
-                w.grad += h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)
+                grads.append((w, h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)))
             if b.trainable:
-                b.grad += d_proj.sum(axis=(0, 1))
+                grads.append((b, d_proj.sum(axis=(0, 1))))
             if layer == 0 and not entry["prepended"]:
                 break  # no layer or prompt below consumes the input gradient
             dh = d_proj @ w.value.T
@@ -511,12 +509,13 @@ class AttentionPredictor:
             if entry["prepended"]:
                 d_tokens = dh[:, : entry["prepended"]].sum(axis=0)
                 offset = 0
-                for _, block in entry["sources"]:
+                for block in entry["sources"]:
                     n = block.tokens.value.shape[0]
                     if block.tokens.trainable:
-                        block.tokens.grad += d_tokens[offset : offset + n]
+                        grads.append((block.tokens, d_tokens[offset : offset + n]))
                     offset += n
                 dh = dh[:, entry["prepended"] :]
+        return grads
 
     def predict(
         self,
@@ -551,7 +550,6 @@ class AttentionPredictor:
                 w, _ = self.layers_qkv[0]
                 extra = input_width - self.input_width
                 w.value = np.concatenate((w.value, np.zeros((extra, w.value.shape[1]))), axis=0)
-                w.grad = np.zeros_like(w.value)
                 self.input_width = input_width
         if n_classes is not None:
             if n_classes < self.n_classes:
@@ -559,9 +557,7 @@ class AttentionPredictor:
             if n_classes > self.n_classes:
                 extra = n_classes - self.n_classes
                 self.cls_w.value = np.concatenate((self.cls_w.value, np.zeros((self.cls_w.value.shape[0], extra))), axis=1)
-                self.cls_w.grad = np.zeros_like(self.cls_w.value)
                 self.cls_b.value = np.concatenate((self.cls_b.value, np.zeros(extra)))
-                self.cls_b.grad = np.zeros_like(self.cls_b.value)
                 self.n_classes = n_classes
 
 
@@ -587,7 +583,6 @@ def grow_vocabulary(
                 block.tokens.value = np.concatenate(
                     (block.tokens.value, np.zeros((block.tokens.value.shape[0], grown))), axis=1
                 )
-                block.tokens.grad = np.zeros_like(block.tokens.value)
 
         if general is not None and 0 in general.blocks:
             widen(general.blocks[0])
@@ -610,13 +605,11 @@ def mean_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
-def sgd_step(parameters: Iterable[Parameter], lr: float) -> None:
-    """Plain SGD on trainable parameters; zeroes all passed gradients."""
-    for p in parameters:
-        if p.trainable:
-            p.grad *= lr  # grad * lr == lr * grad bit for bit, without a temporary
-            p.value -= p.grad
-        p.grad[...] = 0.0
+def sgd_step(grads: Iterable[tuple[Parameter, np.ndarray]], lr: float) -> None:
+    """Plain SGD over ``backward``'s (parameter, gradient) pairs; scales each gradient in place."""
+    for p, grad in grads:
+        grad *= lr  # grad * lr == lr * grad bit for bit, without a temporary
+        p.value -= grad
 
 
 def one_hot(indices, width: int) -> np.ndarray:
@@ -650,21 +643,13 @@ def train_window(
     model._predictions.clear()
     if not batches or epochs < 1:
         return
-    # Stacks and parameter lists do not change across epochs: build them once per pass.
-    plan = []
-    for bucket_id, chunks in batches:
-        params = model.parameters()
-        if general is not None:
-            params.extend(general.parameters())
-        if expert is not None:
-            params.extend(expert.parameters(active_bucket=bucket_id))
-        plan.append((bucket_id, [stack_samples(chunk, model.input_width) for chunk in chunks], params))
+    # Stacks do not change across epochs: build them once per pass.
+    plan = [(bucket_id, [stack_samples(chunk, model.input_width) for chunk in chunks]) for bucket_id, chunks in batches]
     for _ in range(epochs):
-        for bucket_id, stacked, params in plan:
+        for bucket_id, stacked in plan:
             for x, targets in stacked:
                 _, cache = model.forward(
                     x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng
                 )
-                model.backward(cache, targets)
-                sgd_step(params, lr)
+                sgd_step(model.backward(cache, targets), lr)
 

@@ -53,8 +53,6 @@ def gradient_errors(
     without it the check runs on the deterministic evaluation path.
     """
     params = trainable_parameters(model, general, expert, bucket_id)
-    for p in params:
-        p.zero_grad()
     fwd_rng = rng_factory() if rng_factory is not None else None
     _, cache = model.forward(
         x,
@@ -65,7 +63,9 @@ def gradient_errors(
         rng=fwd_rng,
         want_cache=True,
     )
-    model.backward(cache, np.asarray(targets))
+    grads = dict(model.backward(cache, np.asarray(targets)))
+    missing = [p.name for p in params if p.value.size and p not in grads]
+    assert not missing, f"backward returned no gradient for {missing}"
 
     sizes = [p.value.size for p in params]
     total = sum(sizes)
@@ -88,6 +88,6 @@ def gradient_errors(
         down = _loss(model, x, targets, general, expert, bucket_id, rng_factory)
         flat[c] = original
         fd = (up - down) / (2.0 * step)
-        an = float(p.grad.reshape(-1)[c])
+        an = float(grads[p].reshape(-1)[c])
         errors.append(abs(fd - an) / max(abs(fd), abs(an), 1e-6))
     return errors

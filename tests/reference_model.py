@@ -5,7 +5,9 @@ use numpy's own short-axis reductions, fresh temporaries and one stack per
 epoch. ``test_model_bit_identity`` runs them beside ``cnapwp.model`` and
 requires byte-identical parameters, so the faster code there cannot drift in
 rounding. They take the model as an argument, read its parameters and prompt
-layout, and change nothing but the ``.value`` and ``.grad`` of parameters.
+layout, and change nothing but the ``.value`` of parameters. ``backward``
+returns its gradients as a dict from parameter to array, each accumulated from
+zeros, and ``sgd_step`` takes that dict.
 
 The QKV weight gradient is one matrix product on the ``(batch * t, width)``
 reshape of the layer input and of the projection gradient, as in
@@ -53,7 +55,7 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
         sources = model._gather_sources(layer, general, expert, bucket_id)
         prepended = 0
         if cfg.prompt_mode == PROMPT_MODE and sources:
-            tokens = np.concatenate([src.tokens.value for _, src in sources], axis=0)
+            tokens = np.concatenate([src.tokens.value for src in sources], axis=0)
             prepended = tokens.shape[0]
             h = np.concatenate((np.broadcast_to(tokens, (batch, *tokens.shape)), h), axis=1)
         w, b = model.layers_qkv[layer]
@@ -61,8 +63,8 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
         d = model.d_model
         q, k, v = proj[..., :d], proj[..., d : 2 * d], proj[..., 2 * d :]
         if cfg.prompt_mode == PREFIX_MODE and sources:
-            pk = np.concatenate([src.key.value for _, src in sources], axis=0)
-            pv = np.concatenate([src.value.value for _, src in sources], axis=0)
+            pk = np.concatenate([src.key.value for src in sources], axis=0)
+            pv = np.concatenate([src.value.value for src in sources], axis=0)
             k_full, v_full = attach_prefix(pk, pv, k, v)
         else:
             k_full, v_full = k, v
@@ -127,15 +129,20 @@ def backward(model, cache, targets):
     floored = cache.probs[rows, targets - 1] <= LOG_FLOOR
     dz[floored] = 0.0
 
+    grads = {}
+
+    def accumulate(p, g):
+        grads.setdefault(p, np.zeros_like(p.value))[...] += g
+
     if model.cls_w.trainable:
-        model.cls_w.grad += cache.dense_out.T @ dz
+        accumulate(model.cls_w, cache.dense_out.T @ dz)
     if model.cls_b.trainable:
-        model.cls_b.grad += dz.sum(axis=0)
+        accumulate(model.cls_b, dz.sum(axis=0))
     d_dense = dz @ model.cls_w.value.T
     if model.dense_w.trainable:
-        model.dense_w.grad += cache.flat.T @ d_dense
+        accumulate(model.dense_w, cache.flat.T @ d_dense)
     if model.dense_b.trainable:
-        model.dense_b.grad += d_dense.sum(axis=0)
+        accumulate(model.dense_b, d_dense.sum(axis=0))
     d_flat = d_dense @ model.dense_w.value.T
     dh = d_flat.reshape(batch, model.final_seq_len, model.d_model)
 
@@ -163,12 +170,12 @@ def backward(model, cache, targets):
             dk_prompt = dk_full[:, :prompt_rows].sum(axis=0)
             dv_prompt = dv_full[:, :prompt_rows].sum(axis=0)
             offset = 0
-            for _, block in entry["sources"]:
+            for block in entry["sources"]:
                 n = block.key.value.shape[0]
                 if block.key.trainable:
-                    block.key.grad += dk_prompt[offset : offset + n]
+                    accumulate(block.key, dk_prompt[offset : offset + n])
                 if block.value.trainable:
-                    block.value.grad += dv_prompt[offset : offset + n]
+                    accumulate(block.value, dv_prompt[offset : offset + n])
                 offset += n
             dk = dk_full[:, prompt_rows:]
             dv = dv_full[:, prompt_rows:]
@@ -179,20 +186,21 @@ def backward(model, cache, targets):
         w, b = model.layers_qkv[layer]
         h_in = entry["h_in"]
         if w.trainable:
-            w.grad += qkv_weight_gradient(h_in, d_proj)
+            accumulate(w, qkv_weight_gradient(h_in, d_proj))
         if b.trainable:
-            b.grad += d_proj.sum(axis=(0, 1))
+            accumulate(b, d_proj.sum(axis=(0, 1)))
         dh = d_proj @ w.value.T
 
         if entry["prepended"]:
             d_tokens = dh[:, : entry["prepended"]].sum(axis=0)
             offset = 0
-            for _, block in entry["sources"]:
+            for block in entry["sources"]:
                 n = block.tokens.value.shape[0]
                 if block.tokens.trainable:
-                    block.tokens.grad += d_tokens[offset : offset + n]
+                    accumulate(block.tokens, d_tokens[offset : offset + n])
                 offset += n
             dh = dh[:, entry["prepended"] :]
+    return grads
 
 
 def qkv_weight_gradient(h_in, d_proj):
@@ -200,11 +208,9 @@ def qkv_weight_gradient(h_in, d_proj):
     return h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, d_proj.shape[-1])
 
 
-def sgd_step(parameters, lr):
-    for p in parameters:
-        if p.trainable:
-            p.value -= lr * p.grad
-        p.grad[...] = 0.0
+def sgd_step(grads, lr):
+    for p, grad in grads.items():
+        p.value -= lr * grad
 
 
 def train_window(model, batches, epochs, lr, general=None, expert=None, rng=None):
@@ -215,10 +221,4 @@ def train_window(model, batches, epochs, lr, general=None, expert=None, rng=None
             for chunk in chunks:
                 x, targets = stack_samples(chunk, model.input_width)
                 _, cache = forward(model, x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng)
-                backward(model, cache, targets)
-                params = list(model.parameters())
-                if general is not None:
-                    params.extend(general.parameters())
-                if expert is not None:
-                    params.extend(expert.parameters(active_bucket=bucket_id))
-                sgd_step(params, lr)
+                sgd_step(backward(model, cache, targets), lr)

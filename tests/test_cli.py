@@ -248,6 +248,17 @@ def test_run_usage_errors_exit_2(gen_dir, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_exits_3_with_one_line(gen_dir, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 224. GiB for an array with shape (8, 3750000000)")
+
+    monkeypatch.setattr("cnapwp.cli.run_session", exhausted)
+    code = main(["run", "--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "out")] + FAST)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 224. GiB for an array with shape (8, 3750000000)\n"
+
+
 def test_run_data_errors(tmp_path, capsys):
     short_row = tmp_path / "short.csv"
     short_row.write_text("case_id,activity,timestamp,resource\nc1,a\n")
@@ -431,13 +442,20 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         (["ablate", "--seeds", "1,-1"], None),
         (["run", "--set", "lr=nan"], None),
         (["run", "--set", "lr=inf"], None),
+        (["run", "--set", "heads=0"], None),
+        (["run", "--set", "general_layers=5"], None),
+        (["run", "--set", "dropout=1.5"], None),
+        (["run", "--set", "prompt_mode=zzz"], None),
+        (["sweep", "--set", "heads=0"], None),
+        (["ablate", "--seeds", "1", "--set", "expert_layers=2"], None),
     ],
 )
 def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):
     if env is not None:
         monkeypatch.setenv("CNAPWP_THREADS", env)
     out = tmp_path / "never"
-    code = main(argv + ["--stream", str(gen_dir / "stream.csv"), "--out", str(out)] + FAST)
+    # FAST comes first, so a case's own --set overrides it.
+    code = main(argv[:1] + FAST + argv[1:] + ["--stream", str(gen_dir / "stream.csv"), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

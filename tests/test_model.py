@@ -13,7 +13,6 @@ from cnapwp.model import (
     PROMPT_MODE,
     AttentionPredictor,
     ModelConfig,
-    Parameter,
     attach_prefix,
     grow_vocabulary,
     init_expert_prompts,
@@ -341,16 +340,22 @@ def test_did_growth_keep_internal_width():
 
 
 def test_sgd_step_skips_frozen_parameters():
+    # backward pairs only the trainable parameters, so sgd_step never sees a frozen one.
     from cnapwp.model import sgd_step
 
-    p = Parameter(np.ones(3), "trainable")
-    q = Parameter(np.ones(3), "frozen", trainable=False)
-    p.grad[...] = 1.0
-    q.grad[...] = 1.0
-    sgd_step([p, q], lr=0.5)
-    assert np.array_equal(p.value, np.full(3, 0.5))
-    assert np.array_equal(q.value, np.ones(3))
-    assert np.array_equal(p.grad, np.zeros(3)) and np.array_equal(q.grad, np.zeros(3))
+    model = make_model()
+    general, expert = make_prompts(model)
+    model.dense_w.trainable = False
+    frozen = model.dense_w.value.copy()
+    x = one_hot_batch(model, np.random.default_rng(0))
+    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    grads = model.backward(cache, np.array([1, 2, 3]))
+    assert model.dense_w not in dict(grads)
+    expected = [p.value - 0.5 * g for p, g in grads]
+    sgd_step(grads, lr=0.5)
+    assert np.array_equal(model.dense_w.value, frozen)
+    for (p, _), want in zip(grads, expected):
+        assert np.array_equal(p.value, want), p.name
 
 
 index_arrays = st.integers(1, 60).flatmap(

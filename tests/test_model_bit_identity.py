@@ -120,8 +120,8 @@ def qkv_weight_gradients(setup, x, targets, backward):
     """Each layer's ``wqkv`` gradient after one backward pass on a copy of ``setup``."""
     model, general, expert = copy.deepcopy(setup)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1, train=True, rng=np.random.default_rng(8))
-    backward(model, cache, targets)
-    return {w.name: w.grad for w, _ in model.layers_qkv}
+    grads = dict(backward(model, cache, targets))
+    return {w.name: grads[w] for w, _ in model.layers_qkv}
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -1,5 +1,6 @@
 """Finite-difference verification of the hand-written backward pass."""
 import numpy as np
+import pytest
 
 from cnapwp.model import (
     PREFIX_MODE,
@@ -93,22 +94,22 @@ def test_frozen_parameters_accumulate_no_gradient():
     model.cls_w.trainable = False
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-    model.backward(cache, targets)
-    assert np.array_equal(model.cls_w.grad, np.zeros_like(model.cls_w.grad))
-    assert np.abs(model.dense_w.grad).max() > 0
+    grads = dict(model.backward(cache, targets))
+    assert model.cls_w not in grads
+    assert np.abs(grads[model.dense_w]).max() > 0
 
 
 def test_inactive_bucket_gets_no_gradient():
     model, general, expert = build(PREFIX_MODE)
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-    model.backward(cache, targets)
+    grads = dict(model.backward(cache, targets))
     for per_layer in (expert.bucket_blocks[2],):
         for block in per_layer.values():
             for p in block.parameters():
-                assert np.array_equal(p.grad, np.zeros_like(p.grad))
+                assert p not in grads
     active = [p for block in expert.bucket_blocks[1].values() for p in block.parameters()]
-    assert any(np.abs(p.grad).max() > 0 for p in active)
+    assert any(np.abs(grads[p]).max() > 0 for p in active)
 
 
 def test_floored_probability_contributes_no_gradient():
@@ -119,9 +120,9 @@ def test_floored_probability_contributes_no_gradient():
     for t in np.unique(targets):
         model.cls_b.value[t - 1] = -2000.0
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-    model.backward(cache, targets)
+    grads = dict(model.backward(cache, targets))
     for p in trainable_parameters(model, general, expert, bucket_id=1):
-        assert np.array_equal(p.grad, np.zeros_like(p.grad))
+        assert np.array_equal(grads[p], np.zeros_like(p.value))
 
 
 def test_floored_sample_drops_out_of_the_batch_mean():
@@ -132,12 +133,42 @@ def test_floored_sample_drops_out_of_the_batch_mean():
     model.cls_b.value[1] = -2000.0  # floors the second sample only
 
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-    model.backward(cache, targets)
-    paired = {p.name: p.grad.copy() for p in trainable_parameters(model, general, expert, 1)}
+    paired = dict(model.backward(cache, targets))
 
-    for p in trainable_parameters(model, general, expert, 1):
-        p.zero_grad()
     _, cache = model.forward(x[:1], general=general, expert=expert, bucket_id=1)
-    model.backward(cache, np.array([1]))
+    single = dict(model.backward(cache, np.array([1])))
     for p in trainable_parameters(model, general, expert, 1):
-        assert np.allclose(paired[p.name] * 2.0, p.grad, rtol=1e-12, atol=1e-15), p.name
+        assert np.allclose(paired[p] * 2.0, single[p], rtol=1e-12, atol=1e-15), p.name
+
+
+# The layouts of test_model_bit_identity: the tuned recurrent layout, prompt
+# rows prepended at layer 0, prefix mode.
+LAYOUTS = [(PROMPT_MODE, (1,)), (PROMPT_MODE, (0,)), (PREFIX_MODE, (0,))]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("prompt_len", [2, 0])
+def test_backward_pairs_each_used_trainable_parameter_once(layout, frozen, prompt_len):
+    """sgd_step scales every gradient in place, so none may alias another or a value."""
+    mode, general_layers = layout
+    model, general, expert = build(mode, general_layers=general_layers, prompt_len=prompt_len)
+    if frozen:  # as the engine freezes the backbone: only the classifier keeps training
+        keep = {id(p) for p in model.classifier_parameters()}
+        for p in model.parameters():
+            p.trainable = id(p) in keep
+    x, targets = batch_for(model)
+    _, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
+    pairs = model.backward(cache, targets)
+
+    every = model.parameters() + general.parameters() + expert.parameters()
+    used = model.parameters() + general.parameters() + expert.parameters(active_bucket=2)
+    expected = [p for p in used if p.trainable and p.value.size]
+    assert sorted(p.name for p, _ in pairs) == sorted(p.name for p in expected)
+    assert {id(p) for p, _ in pairs} == {id(p) for p in expected} and len(pairs) == len(expected)
+    for p, grad in pairs:
+        assert grad.shape == p.value.shape, p.name
+        assert not any(np.shares_memory(grad, q.value) for q in every), p.name
+    for i, (p, grad) in enumerate(pairs):
+        for q, other in pairs[i + 1 :]:
+            assert not np.shares_memory(grad, other), (p.name, q.name)
