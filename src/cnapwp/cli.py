@@ -332,6 +332,8 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     base = load_engine_config(args.config, args.set)
     names = [n.strip() for n in args.conditions.split(",") if n.strip()]
+    if not names:
+        raise ConfigurationError("--conditions must name at least one condition")
     conditions = {}
     for name in names:
         if name in ABLATION_CONDITIONS:

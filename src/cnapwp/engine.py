@@ -129,6 +129,8 @@ class EngineConfig:
             raise ConfigurationError("fingerprint_cap must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.curve_window is not None and self.curve_window < 0:
+            raise ConfigurationError(f"curve_window must be >= 0 or none, got {self.curve_window}")
         self.model_config(StrategySpec("any"))  # a bad backbone or prompt layout fails here, before any output
 
     def model_config(self, strategy: StrategySpec) -> ModelConfig:

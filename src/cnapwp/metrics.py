@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class Segment:
     start: int
     end: int
 
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
 
 def average_accuracy(records: Sequence[PredictionRecord], include_buffering: bool = True) -> float:
     pool = records if include_buffering else [r for r in records if not r.buffering]
@@ -58,23 +54,13 @@ def average_accuracy(records: Sequence[PredictionRecord], include_buffering: boo
     return sum(1 for r in pool if r.correct) / len(pool)
 
 
-def accuracy_at_index(records: Sequence[PredictionRecord], index: int, window: int) -> float:
-    """Rolling accuracy over the inclusive window [max(0, index - window), index].
+def rolling_accuracy_curve(records: Sequence[PredictionRecord], window: int) -> np.ndarray:
+    """Rolling accuracy at every index over the inclusive window [max(0, index - window), index].
 
     The divisor is the actual number of records in the window, so early
-    indices average over fewer points instead of phantom zeros.
+    indices average over fewer points instead of phantom zeros. One
+    cumulative-sum pass computes every index.
     """
-    if not 0 <= index < len(records):
-        raise ConfigurationError(f"index {index} outside the record range")
-    if window < 0:
-        raise ConfigurationError("window must be >= 0")
-    lo = max(0, index - window)
-    span = records[lo : index + 1]
-    return sum(1 for r in span if r.correct) / len(span)
-
-
-def rolling_accuracy_curve(records: Sequence[PredictionRecord], window: int) -> np.ndarray:
-    """accuracy_at_index for every index, computed in one cumulative-sum pass."""
     if window < 0:
         raise ConfigurationError("window must be >= 0")
     hits = np.fromiter((1.0 if r.correct else 0.0 for r in records), dtype=np.float64, count=len(records))
@@ -136,7 +122,6 @@ class ForgettingMatrix:
     tasks: tuple[str, ...]
     accuracies: dict[tuple[str, int], float] = field(default_factory=dict)
     deltas: dict[tuple[str, int], float] = field(default_factory=dict)
-    sizes: dict[tuple[str, int], int] = field(default_factory=dict)
 
     @property
     def max_occurrence(self) -> int:
@@ -172,7 +157,6 @@ def forgetting_matrix(
             tasks.append(seg.task)
         acc = segment_accuracy(records, seg)
         matrix.accuracies[(seg.task, seg.occurrence)] = acc
-        matrix.sizes[(seg.task, seg.occurrence)] = seg.size
     matrix.tasks = tuple(tasks)
     for (task, occ), acc in matrix.accuracies.items():
         matrix.deltas[(task, occ)] = matrix.accuracies[(task, 1)] - acc
@@ -214,8 +198,8 @@ def latency_percentiles(latencies_ns: Iterable[int]) -> dict[str, float]:
 # -- csv ----------------------------------------------------------------------
 
 
-def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLike | IO[str]) -> None:
-    with _opened(path) as fh:
+def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for r in records:
@@ -224,8 +208,8 @@ def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLi
             )
 
 
-def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLike | IO[str]) -> None:
-    with _opened(path) as fh:
+def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "latency_ns"))
         for r in records:
@@ -268,8 +252,8 @@ def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
         return out
 
 
-def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike | IO[str]) -> None:
-    with _opened(path) as fh:
+def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("task", "occurrence", "delta", "accuracy_first", "accuracy_this"))
         for task in matrix.tasks:
@@ -286,8 +270,8 @@ def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike | IO[
                 )
 
 
-def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike | IO[str]) -> None:
-    with _opened(path) as fh:
+def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "accuracy"))
         for i, acc in enumerate(curve):
@@ -299,14 +283,14 @@ def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike | IO[str
 _JSON_INDENT = "  "
 
 
-def write_json(obj, path: str | os.PathLike | IO[str]) -> None:
+def write_json(obj, path: str | os.PathLike) -> None:
     """Write ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a newline, without recursion.
 
     The standard encoder recurses once per nesting level when indenting, so a
     task tree holding one case path of ~500 events raised ``RecursionError``.
     This walks an explicit stack of open containers and writes the same bytes.
     """
-    with _opened(path) as fh:
+    with open(path, "w", newline="") as fh:
         # Each frame: pending (key, value) items, closing bracket, depth, whether one was written.
         stack = [[iter(((None, obj),)), "", 0, False]]
         while stack:
@@ -333,22 +317,3 @@ def write_json(obj, path: str | os.PathLike | IO[str]) -> None:
             else:
                 fh.write(json.dumps(value))
         fh.write("\n")
-
-
-class _opened:
-    """Open a path for writing, or pass a file object through unclosed."""
-
-    def __init__(self, target):
-        self.target = target
-        self._own = None
-
-    def __enter__(self):
-        if hasattr(self.target, "write"):
-            return self.target
-        self._own = open(self.target, "w", newline="")
-        return self._own
-
-    def __exit__(self, *exc):
-        if self._own is not None:
-            self._own.close()
-        return False

@@ -101,21 +101,12 @@ class PromptBlock:
     value: Parameter | None = None
     tokens: Parameter | None = None
 
-    def parameters(self) -> list[Parameter]:
-        return [p for p in (self.key, self.value, self.tokens) if p is not None]
-
 
 class GeneralPrompt:
     """Task-invariant prompt blocks, keyed by layer."""
 
     def __init__(self, blocks: dict[int, PromptBlock]):
         self.blocks = blocks
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for block in self.blocks.values():
-            out.extend(block.parameters())
-        return out
 
 
 class ExpertPromptSet:
@@ -124,17 +115,6 @@ class ExpertPromptSet:
     def __init__(self, task_blocks: dict[int, PromptBlock], bucket_blocks: dict[int, dict[int, PromptBlock]]):
         self.task_blocks = task_blocks
         self.bucket_blocks = bucket_blocks
-
-    def parameters(self, active_bucket: int | None = None) -> list[Parameter]:
-        """Task parameters plus, when given, only the active bucket's parameters."""
-        out = []
-        for block in self.task_blocks.values():
-            out.extend(block.parameters())
-        buckets = self.bucket_blocks if active_bucket is None else {active_bucket: self.bucket_blocks[active_bucket]}
-        for per_layer in buckets.values():
-            for block in per_layer.values():
-                out.extend(block.parameters())
-        return out
 
 
 def _make_block(cfg: ModelConfig, layer: int, d_model: int, layer_width: int, rng: np.random.Generator, name: str) -> PromptBlock:
@@ -182,7 +162,7 @@ def init_expert_prompts(
 class ForwardCache:
     """Everything the backward pass needs from one forward pass."""
 
-    __slots__ = ("layers", "flat", "dense_out", "probs", "batch_size", "layer_output_lengths")
+    __slots__ = ("layers", "flat", "dense_out", "probs", "batch_size")
 
     def __init__(self):
         self.layers: list[dict] = []
@@ -190,7 +170,6 @@ class ForwardCache:
         self.dense_out = None
         self.probs = None
         self.batch_size = 0
-        self.layer_output_lengths: list[int] = []
 
 
 # From about this many rows on, a running maximum over the columns of a short
@@ -260,20 +239,15 @@ class AttentionPredictor:
         if n_classes < 1:
             raise ConfigurationError("n_classes must be >= 1")
         self.cfg = cfg
-        self.seed = seed
         self.input_width = input_width
         self.n_classes = n_classes
         self.d_model = math.ceil(input_width / cfg.heads) * cfg.heads
         self.d_head = self.d_model // cfg.heads
 
-        # Sequence length entering each layer; prompt mode prepends rows that persist.
-        self.layer_seq_lens = []
-        seq = cfg.max_len
-        for layer in range(cfg.layers):
-            self.layer_seq_lens.append(seq)
-            if cfg.prompt_mode == PROMPT_MODE:
-                seq += cfg.rows_attached_at(layer)
-        self.final_seq_len = seq
+        # Prompt mode prepends rows at each prompted layer, and they persist to the head.
+        self.final_seq_len = cfg.max_len
+        if cfg.prompt_mode == PROMPT_MODE:
+            self.final_seq_len += sum(cfg.rows_attached_at(layer) for layer in range(cfg.layers))
 
         rng = np.random.default_rng([seed, 97])
         self.layers_qkv: list[tuple[Parameter, Parameter]] = []
@@ -404,7 +378,6 @@ class AttentionPredictor:
                         "prompt_rows": t_k - t_q,
                     }
                 )
-                cache.layer_output_lengths.append(t_q)
             h = out
 
         flat = h.reshape(batch, -1)

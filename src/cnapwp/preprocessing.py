@@ -34,17 +34,10 @@ class ActivityVocabulary:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     @property
     def width(self) -> int:
         """One-hot width: real labels plus the padding slot."""
         return len(self._labels) + 1
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
 
     def intern(self, label: str) -> int:
         """Return the label's index, appending an unseen label. Existing labels keep their index forever."""
@@ -54,9 +47,6 @@ class ActivityVocabulary:
             self._labels.append(label)
             self._index[label] = idx
         return idx
-
-    def index_of(self, label: str) -> int | None:
-        return self._index.get(label)
 
     def label_of(self, index: int) -> str:
         if index == PAD_INDEX:
@@ -99,26 +89,15 @@ class BucketConfig:
             raise ConfigurationError(f"bucket boundaries must be strictly increasing, got {self.boundaries}")
 
     @property
-    def count(self) -> int:
-        return len(self.boundaries)
-
-    @property
     def bucket_ids(self) -> tuple[int, ...]:
         return tuple(range(1, len(self.boundaries) + 1))
 
 
-def build_prefix(event: Event, window_view, vocab: ActivityVocabulary, max_len: int) -> Prefix:
-    """Collect the case's prior in-window activities, keeping the most recent max_len.
-
-    ``window_view`` is either a SlidingWindow (fast per-case lookup) or any
-    iterable of Events in window order. A case with no prior events in the
-    window yields an all-padding prefix.
-    """
-    if hasattr(window_view, "activities_for_case"):
-        history = window_view.activities_for_case(event.case_id)
-    else:
-        history = [e.activity for e in window_view if e.case_id == event.case_id]
-    recent = history[-max_len:] if max_len > 0 else []
+def build_prefix(event: Event, window, vocab: ActivityVocabulary, max_len: int) -> Prefix:
+    """Collect the case's prior activities in a SlidingWindow, keeping the most
+    recent max_len. A case with no prior events in the window yields an
+    all-padding prefix."""
+    recent = window.activities_for_case(event.case_id)[-max_len:]
     indices = tuple(vocab.intern(a) for a in recent)
     padded = (PAD_INDEX,) * (max_len - len(indices)) + indices
     return Prefix(event.case_id, padded, len(indices))
@@ -128,7 +107,7 @@ def encode(
     prefix: Prefix,
     target_activity: str,
     vocab: ActivityVocabulary,
-    bucket_config: BucketConfig | None = None,
+    bucket_config: BucketConfig,
 ) -> EncodedSample:
     """Pair a prefix with its target index and length bucket.
 
@@ -136,8 +115,7 @@ def encode(
     width can outgrow the model's: the caller compares the two and widens it.
     """
     target = vocab.intern(target_activity)
-    bucket = assign_bucket(prefix.effective_len, bucket_config) if bucket_config is not None else 1
-    return EncodedSample(prefix.activities, target, bucket)
+    return EncodedSample(prefix.activities, target, assign_bucket(prefix.effective_len, bucket_config))
 
 
 def fit_buckets(length_histogram: Mapping[int, int], bucket_count: int, max_len: int) -> BucketConfig:

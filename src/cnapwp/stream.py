@@ -224,20 +224,14 @@ def parse_stream_with_sidecars(
     return stream, source
 
 
-def write_event_log(stream: EventStream, path: str | os.PathLike, include_drift_column: bool = False) -> None:
-    """Serialize a stream with integer-tick timestamps so parse round-trips the order."""
-    drift_set = set(stream.drift_indices)
+def write_event_log(stream: EventStream, path: str | os.PathLike) -> None:
+    """Serialize the events with integer-tick timestamps so parse round-trips the
+    order; drift positions go to a sidecar (``write_drift_sidecar``)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["case_id", "activity", "timestamp", "resource"]
-        if include_drift_column:
-            header.append("drift")
-        writer.writerow(header)
+        writer.writerow(["case_id", "activity", "timestamp", "resource"])
         for i, ev in enumerate(stream.events):
-            row = [ev.case_id, ev.activity, str(i), ev.resource or ""]
-            if include_drift_column:
-                row.append("1" if i in drift_set else "0")
-            writer.writerow(row)
+            writer.writerow([ev.case_id, ev.activity, str(i), ev.resource or ""])
 
 
 def write_drift_sidecar(stream: EventStream, path: str | os.PathLike) -> None:

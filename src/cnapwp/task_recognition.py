@@ -28,9 +28,8 @@ class PrefixTree:
     """Trie over case activity sequences with per-node visit frequencies.
 
     ``event_count`` counts every inserted event (one node visit each). Cases
-    keep a cursor so a case can be extended one event at a time; feeding a
-    buffer event-by-event therefore builds the same tree as inserting each
-    case's full path once.
+    keep a cursor, so each case's path grows one event at a time however the
+    cases interleave.
     """
 
     def __init__(self):
@@ -42,19 +41,6 @@ class PrefixTree:
     def is_empty(self) -> bool:
         return not self._root.children
 
-    def insert_case_path(self, activities: Sequence[str]) -> None:
-        if not activities:
-            raise ConfigurationError("cannot insert an empty case path")
-        node = self._root
-        for activity in activities:
-            child = node.children.get(activity)
-            if child is None:
-                child = _Node(activity)
-                node.children[activity] = child
-            child.frequency += 1
-            node = child
-        self.event_count += len(activities)
-
     def extend_case(self, case_id: str, activity: str) -> None:
         """Grow the case's path by one event."""
         node = self._cursors.get(case_id, self._root)
@@ -65,18 +51,6 @@ class PrefixTree:
         child.frequency += 1
         self._cursors[case_id] = child
         self.event_count += 1
-
-    def path_set(self) -> frozenset[tuple[str, ...]]:
-        """All non-empty root paths in the tree."""
-        paths: list[tuple[str, ...]] = []
-        stack = [(self._root, ())]
-        while stack:
-            node, path = stack.pop()
-            for label, child in node.children.items():
-                extended = path + (label,)
-                paths.append(extended)
-                stack.append((child, extended))
-        return frozenset(paths)
 
     def node_count(self) -> int:
         return _size_below(self._root)

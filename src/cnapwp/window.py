@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 from .errors import ConfigurationError
 from .preprocessing import EncodedSample
@@ -45,9 +44,6 @@ class SlidingWindow:
     def activities_for_case(self, case_id: str) -> list[str]:
         """The case's activities currently in the window, oldest first."""
         return list(self._by_case.get(case_id, ()))
-
-    def events(self) -> Iterator[Event]:
-        return (event for event, _ in self._buffer)
 
     def samples(self) -> list[EncodedSample]:
         return [sample for _, sample in self._buffer if sample is not None]

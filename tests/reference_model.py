@@ -97,7 +97,6 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
                     "prompt_rows": t_k - t_q,
                 }
             )
-            cache.layer_output_lengths.append(t_q)
         h = out
 
     flat = h.reshape(batch, -1)

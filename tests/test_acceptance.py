@@ -15,7 +15,7 @@ import pytest
 from cnapwp.baselines import ABLATION_CONDITIONS, STRATEGIES
 from cnapwp.cli import load_engine_config
 from cnapwp.engine import EngineConfig, run_session
-from cnapwp.metrics import accuracy_at_index, average_accuracy, forgetting_matrix
+from cnapwp.metrics import average_accuracy, forgetting_matrix, rolling_accuracy_curve, segments_from_ground_truth
 from cnapwp.model import (
     PREFIX_MODE,
     PROMPT_MODE,
@@ -28,9 +28,10 @@ from cnapwp.model import (
 from cnapwp.preprocessing import EncodedSample
 from cnapwp.stream import DriftSchedule, generate_drift_stream
 from cnapwp.synthetic import builtin_processes, sample_pool
-from cnapwp.task_recognition import PrefixTree, dissimilarity
+from cnapwp.task_recognition import dissimilarity
 
-from gradcheck import gradient_errors
+from gradcheck import block_parameters, gradient_errors
+from oracles import path_set_dissimilarity, tree_of
 
 SEEDS = (7, 11, 23, 31, 47)
 RECURRENT_INI = Path(__file__).resolve().parents[1] / "configs" / "recurrent.ini"
@@ -137,7 +138,7 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
         chunk.append(EncodedSample(activities=activities, target=int(rng.integers(1, 4)), bucket=2))
 
     def bucket_values(bucket_id):
-        return [p.value.copy() for block in expert.bucket_blocks[bucket_id].values() for p in block.parameters()]
+        return [p.value.copy() for p in block_parameters(expert.bucket_blocks[bucket_id].values())]
 
     before = {b: bucket_values(b) for b in (1, 2, 3)}
     train_window(model, [(2, [chunk])], epochs=1, lr=0.1, general=general, expert=expert)
@@ -166,7 +167,7 @@ def test_03_prefix_mode_keeps_output_length():
         general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed=1)
         expert = init_expert_prompts(cfg, (1, 2), model.d_model, model.layer_widths, seed=2, task_id=1)
         _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-        lengths_ok &= cache.layer_output_lengths == [4, 4]
+        lengths_ok &= [entry["qh"].shape[2] for entry in cache.layers] == [4, 4]
         lengths_ok &= model.final_seq_len == 4
 
     cfg0 = ModelConfig(prompt_len=0, **base)
@@ -185,29 +186,22 @@ def test_04_dissimilarity_equals_path_set_oracle():
 
     def random_tree():
         letters = "abcdef"[: int(rng.integers(2, 7))]
-        tree = PrefixTree()
+        paths = []
         for _ in range(int(rng.integers(1, 7))):
-            path = [letters[int(rng.integers(0, len(letters)))] for _ in range(int(rng.integers(1, 9)))]
-            tree.insert_case_path(path)
-        return tree
+            paths.append([letters[int(rng.integers(0, len(letters)))] for _ in range(int(rng.integers(1, 9)))])
+        return tree_of(*paths)
 
     checked = 0
     exact = True
     for _ in range(1000):
         a, b = random_tree(), random_tree()
         assert a.node_count() <= 50 and b.node_count() <= 50
-        paths_a = a.path_set()
-        oracle = len(paths_a - b.path_set()) / len(paths_a)
-        if dissimilarity(a, b) != oracle or dissimilarity(a, a) != 0.0:
+        if dissimilarity(a, b) != path_set_dissimilarity(a, b) or dissimilarity(a, a) != 0.0:
             exact = False
             break
         checked += 1
 
-    left = PrefixTree()
-    left.insert_case_path(["a", "b", "a"])
-    right = PrefixTree()
-    right.insert_case_path(["x", "y"])
-    disjoint = dissimilarity(left, right) == 1.0
+    disjoint = dissimilarity(tree_of("aba"), tree_of("xy")) == 1.0
     elapsed = time.perf_counter() - t0
     verdict(4, exact and disjoint and elapsed < 10.0, f"{checked} pairs exact, disjoint pair 1.0, {elapsed:.1f}s")
 
@@ -218,7 +212,7 @@ def test_05_metrics_match_hand_computed_values(metrics_fixture):
     ok = abs(average_accuracy(records) - 0.6) <= tol
     spots = {(5, 3): 0.5, (0, 5): 1.0, (19, 0): 0.0, (19, 100): 0.6}
     for (index, window), want in spots.items():
-        ok &= abs(accuracy_at_index(records, index, window) - want) <= tol
+        ok &= abs(rolling_accuracy_curve(records, window)[index] - want) <= tol
 
     matrix = forgetting_matrix(records, drifts, labels)
     want_acc = {("A", 1): 0.75, ("B", 1): 0.5, ("A", 2): 0.25, ("C", 1): 0.75, ("A", 3): 0.75}
@@ -232,8 +226,9 @@ def test_05_metrics_match_hand_computed_values(metrics_fixture):
         if occ >= 2:
             ok &= abs(delta - (matrix.accuracies[(task, 1)] - matrix.accuracies[(task, occ)])) <= tol
     # segment-weighted average reconstructs the global accuracy
-    weighted = sum(matrix.accuracies[c] * matrix.sizes[c] for c in matrix.accuracies)
-    ok &= abs(weighted / sum(matrix.sizes.values()) - average_accuracy(records)) <= tol
+    sizes = {(s.task, s.occurrence): s.end - s.start for s in segments_from_ground_truth(len(records), drifts, labels)}
+    weighted = sum(matrix.accuracies[c] * sizes[c] for c in matrix.accuracies)
+    ok &= abs(weighted / sum(sizes.values()) - average_accuracy(records)) <= tol
     verdict(5, ok, "accuracy, forgetting matrix, and identities all within 1e-12")
 
 

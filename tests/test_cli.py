@@ -448,6 +448,8 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         (["run", "--set", "prompt_mode=zzz"], None),
         (["sweep", "--set", "heads=0"], None),
         (["ablate", "--seeds", "1", "--set", "expert_layers=2"], None),
+        (["run", "--set", "curve_window=-1"], None),
+        (["ablate", "--conditions", ",", "--seeds", "1"], None),
     ],
 )
 def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):

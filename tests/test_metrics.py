@@ -1,5 +1,4 @@
 """Accuracy, segmentation, forgetting, and CSV writers against hand oracles."""
-import io
 import json
 
 import numpy as np
@@ -12,7 +11,6 @@ from cnapwp.metrics import (
     ForgettingMatrix,
     PredictionRecord,
     Segment,
-    accuracy_at_index,
     average_accuracy,
     forgetting_matrix,
     latency_percentiles,
@@ -48,23 +46,19 @@ def test_average_accuracy_can_exclude_buffering():
     assert average_accuracy([]) == 0.0
 
 
-def test_accuracy_at_index_spots(metrics_fixture):
+def rolling_accuracy(records, index, window):
+    """Brute force: the hit rate over records [max(0, index - window), index]."""
+    span = records[max(0, index - window) : index + 1]
+    return sum(r.correct for r in span) / len(span)
+
+
+def test_rolling_curve_spots(metrics_fixture):
     records, _, _ = metrics_fixture
     # window bounds are inclusive: [index - window, index]
-    assert accuracy_at_index(records, 5, 3) == pytest.approx(0.5, abs=1e-12)  # hits 1,0,0,1
-    assert accuracy_at_index(records, 19, 0) == 0.0
-    assert accuracy_at_index(records, 19, 100) == pytest.approx(0.6, abs=1e-12)
-    assert accuracy_at_index(records, 0, 5) == 1.0
-
-
-def test_accuracy_at_index_validation(metrics_fixture):
-    records, _, _ = metrics_fixture
-    with pytest.raises(ConfigurationError):
-        accuracy_at_index(records, -1, 3)
-    with pytest.raises(ConfigurationError):
-        accuracy_at_index(records, len(records), 3)
-    with pytest.raises(ConfigurationError):
-        accuracy_at_index(records, 0, -1)
+    assert rolling_accuracy_curve(records, 3)[5] == pytest.approx(0.5, abs=1e-12)  # hits 1,0,0,1
+    assert rolling_accuracy_curve(records, 0)[19] == 0.0
+    assert rolling_accuracy_curve(records, 100)[19] == pytest.approx(0.6, abs=1e-12)
+    assert rolling_accuracy_curve(records, 5)[0] == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,7 +69,7 @@ def test_accuracy_at_index_validation(metrics_fixture):
 def test_rolling_curve_matches_per_index_accuracy(hits, window):
     records = scripted_records(hits)
     curve = rolling_accuracy_curve(records, window)
-    expected = [accuracy_at_index(records, i, window) for i in range(len(records))]
+    expected = [rolling_accuracy(records, i, window) for i in range(len(records))]
     assert np.allclose(curve, expected, atol=1e-12)
 
 
@@ -128,7 +122,6 @@ def test_forgetting_matrix_oracle(metrics_fixture):
     assert set(matrix.accuracies) == set(expected_acc)
     for cell, acc in expected_acc.items():
         assert matrix.accuracies[cell] == pytest.approx(acc, abs=1e-12)
-        assert matrix.sizes[cell] == 4
     assert matrix.deltas[("A", 2)] == pytest.approx(0.5, abs=1e-12)
     assert matrix.deltas[("A", 3)] == pytest.approx(0.0, abs=1e-12)
     assert matrix.revisit_cells == [("A", 2), ("A", 3)]
@@ -147,9 +140,8 @@ def test_forgetting_delta_identity(metrics_fixture):
 def test_segment_weighted_average_identity(metrics_fixture):
     records, drifts, labels = metrics_fixture
     matrix = forgetting_matrix(records, drifts, labels)
-    weighted = sum(
-        matrix.accuracies[cell] * matrix.sizes[cell] for cell in matrix.accuracies
-    ) / sum(matrix.sizes.values())
+    sizes = {(s.task, s.occurrence): s.end - s.start for s in segments_from_ground_truth(len(records), drifts, labels)}
+    weighted = sum(matrix.accuracies[cell] * sizes[cell] for cell in matrix.accuracies) / sum(sizes.values())
     assert weighted == pytest.approx(average_accuracy(records), abs=1e-12)
 
 
@@ -221,26 +213,26 @@ def test_records_csv_roundtrip(tmp_path, metrics_fixture):
         assert a.latency_ns == 0  # latency lives in timings.csv, not here
 
 
-def test_records_csv_has_no_latency_column(metrics_fixture):
+def test_records_csv_has_no_latency_column(tmp_path, metrics_fixture):
     records, _, _ = metrics_fixture
-    buf = io.StringIO()
-    write_records_csv(records, buf)
-    header = buf.getvalue().splitlines()[0]
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    header = path.read_text().splitlines()[0]
     assert header == "index,case_id,y,y_hat,correct,task_id,buffering"
 
 
-def test_timings_csv():
+def test_timings_csv(tmp_path):
     records = scripted_records((1, 0), latencies=[1500, 2500])
-    buf = io.StringIO()
-    write_timings_csv(records, buf)
-    assert buf.getvalue().splitlines() == ["index,latency_ns", "0,1500", "1,2500"]
+    path = tmp_path / "timings.csv"
+    write_timings_csv(records, path)
+    assert path.read_text().splitlines() == ["index,latency_ns", "0,1500", "1,2500"]
 
 
-def test_forgetting_csv_rows(metrics_fixture):
+def test_forgetting_csv_rows(tmp_path, metrics_fixture):
     records, drifts, labels = metrics_fixture
-    buf = io.StringIO()
-    write_forgetting_csv(forgetting_matrix(records, drifts, labels), buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "forgetting.csv"
+    write_forgetting_csv(forgetting_matrix(records, drifts, labels), path)
+    lines = path.read_text().splitlines()
     assert lines[0] == "task,occurrence,delta,accuracy_first,accuracy_this"
     assert lines[1] == "A,1,0.000000,0.750000,0.750000"
     assert lines[2] == "A,2,0.500000,0.750000,0.250000"
@@ -249,11 +241,11 @@ def test_forgetting_csv_rows(metrics_fixture):
     assert lines[5] == "C,1,0.000000,0.750000,0.750000"
 
 
-def test_accuracy_curve_csv():
+def test_accuracy_curve_csv(tmp_path):
     records = scripted_records((1, 0))
-    buf = io.StringIO()
-    write_accuracy_curve_csv(rolling_accuracy_curve(records, 10), buf)
-    assert buf.getvalue().splitlines() == ["index,accuracy", "0,1.000000", "1,0.500000"]
+    path = tmp_path / "accuracy_curve.csv"
+    write_accuracy_curve_csv(rolling_accuracy_curve(records, 10), path)
+    assert path.read_text().splitlines() == ["index,accuracy", "0,1.000000", "1,0.500000"]
 
 
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
@@ -270,13 +262,13 @@ _json_keys = st.text(max_size=4) | st.integers(-5, 5)
         max_leaves=25,
     )
 )
-def test_write_json_matches_the_standard_encoder(obj):
-    buf = io.StringIO()
+def test_write_json_matches_the_standard_encoder(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
     try:
         expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     except TypeError:  # mixed key types cannot be sorted
         with pytest.raises(TypeError):
-            write_json(obj, buf)
+            write_json(obj, path)
         return
-    write_json(obj, buf)
-    assert buf.getvalue() == expected
+    write_json(obj, path)
+    assert path.read_text() == expected

@@ -24,6 +24,10 @@ from cnapwp.model import (
     train_window,
 )
 from cnapwp.preprocessing import ActivityVocabulary, BucketConfig, build_prefix, encode
+from cnapwp.stream import Event
+from cnapwp.window import SlidingWindow
+
+from gradcheck import prompt_parameters
 
 
 def make_model(mode=PREFIX_MODE, input_width=5, n_classes=4, seed=11, **cfg_kwargs):
@@ -206,7 +210,7 @@ def test_prefix_mode_keeps_sequence_lengths():
         x = one_hot_batch(model, np.random.default_rng(8))
         _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
         assert model.final_seq_len == model.cfg.max_len
-        assert cache.layer_output_lengths == [model.cfg.max_len] * model.cfg.layers
+        assert [entry["qh"].shape[2] for entry in cache.layers] == [model.cfg.max_len] * model.cfg.layers
         # keys grew by the attached rows while queries did not
         assert cache.layers[0]["prompt_rows"] == prompt_len
         assert cache.layers[1]["prompt_rows"] == 2 * prompt_len
@@ -215,11 +219,11 @@ def test_prefix_mode_keeps_sequence_lengths():
 def test_prompt_mode_extends_sequence_lengths():
     model = make_model(PROMPT_MODE, prompt_len=2)
     general, expert = make_prompts(model)
-    assert model.layer_seq_lens == [4, 6]  # general adds 2 rows after layer 0
-    assert model.final_seq_len == 10  # expert adds 4 more after layer 1
+    assert model.final_seq_len == 10  # general adds 2 rows at layer 0, expert 4 more at layer 1
     x = one_hot_batch(model, np.random.default_rng(9))
     probs, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
-    assert cache.layer_output_lengths == [6, 10]
+    assert [entry["h_in"].shape[1] - entry["prepended"] for entry in cache.layers] == [4, 6]
+    assert [entry["qh"].shape[2] for entry in cache.layers] == [6, 10]
     assert probs.shape == (3, model.n_classes)
 
 
@@ -247,18 +251,19 @@ def test_prompt_init_is_bounded_and_seeded():
     general, _ = make_prompts(model, seed=33)
     again, _ = make_prompts(model, seed=33)
     other, _ = make_prompts(model, seed=34)
-    for p, q in zip(general.parameters(), again.parameters()):
+    params = prompt_parameters(general)
+    for p, q in zip(params, prompt_parameters(again)):
         assert np.array_equal(p.value, q.value)
         assert np.abs(p.value).max() <= 0.1
-    assert any(not np.array_equal(p.value, q.value) for p, q in zip(general.parameters(), other.parameters()))
+    assert any(not np.array_equal(p.value, q.value) for p, q in zip(params, prompt_parameters(other)))
 
 
 def test_expert_prompts_differ_by_task():
     model = make_model()
     e1 = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=1)
     e2 = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=2)
-    p1 = e1.parameters()
-    p2 = e2.parameters()
+    p1 = prompt_parameters(expert=e1)
+    p2 = prompt_parameters(expert=e2)
     assert len(p1) == len(p2)
     assert any(not np.array_equal(a.value, b.value) for a, b in zip(p1, p2))
 
@@ -272,10 +277,10 @@ def _encode_under(vocab, history, target, max_len=4):
 
 
 def build_prefix_like(history, vocab, max_len):
-    from cnapwp.stream import Event
-
-    events = [Event("c", a) for a in history]
-    return build_prefix(Event("c", "?"), events, vocab, max_len)
+    window = SlidingWindow(max(1, len(history)))
+    for activity in history:
+        window.push(Event("c", activity))
+    return build_prefix(Event("c", "?"), window, vocab, max_len)
 
 
 def _logits_for(model, sample, general, expert):

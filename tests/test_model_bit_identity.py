@@ -30,6 +30,8 @@ from cnapwp.model import (
 )
 from cnapwp.preprocessing import EncodedSample
 
+from gradcheck import prompt_parameters
+
 BATCH = 25
 # (prompt mode, general prompt layers): the tuned recurrent layout, prompt rows
 # prepended at layer 0 (whose input gradient then feeds the tokens), prefix mode.
@@ -64,7 +66,7 @@ def two_buckets(model, rng, sizes=((BATCH, 7), (BATCH, 1))):
 
 
 def all_parameters(model, general, expert):
-    return model.parameters() + general.parameters() + expert.parameters()
+    return model.parameters() + prompt_parameters(general, expert)
 
 
 def assert_same_update(setup, batches, epochs=2, lr=0.05):

@@ -11,7 +11,7 @@ from cnapwp.model import (
     init_general_prompt,
 )
 
-from gradcheck import gradient_errors, trainable_parameters
+from gradcheck import block_parameters, gradient_errors, prompt_parameters, trainable_parameters
 
 # Central differences with step 1e-5 carry ~1e-9 absolute noise, which turns
 # into ~1e-5 relative error on near-zero coordinates; 1e-4 keeps headroom.
@@ -104,11 +104,9 @@ def test_inactive_bucket_gets_no_gradient():
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
     grads = dict(model.backward(cache, targets))
-    for per_layer in (expert.bucket_blocks[2],):
-        for block in per_layer.values():
-            for p in block.parameters():
-                assert p not in grads
-    active = [p for block in expert.bucket_blocks[1].values() for p in block.parameters()]
+    for p in block_parameters(expert.bucket_blocks[2].values()):
+        assert p not in grads
+    active = block_parameters(expert.bucket_blocks[1].values())
     assert any(np.abs(grads[p]).max() > 0 for p in active)
 
 
@@ -161,8 +159,8 @@ def test_backward_pairs_each_used_trainable_parameter_once(layout, frozen, promp
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
     pairs = model.backward(cache, targets)
 
-    every = model.parameters() + general.parameters() + expert.parameters()
-    used = model.parameters() + general.parameters() + expert.parameters(active_bucket=2)
+    every = model.parameters() + prompt_parameters(general, expert)
+    used = model.parameters() + prompt_parameters(general, expert, bucket_id=2)
     expected = [p for p in used if p.trainable and p.value.size]
     assert sorted(p.name for p, _ in pairs) == sorted(p.name for p in expected)
     assert {id(p) for p, _ in pairs} == {id(p) for p in expected} and len(pairs) == len(expected)

@@ -74,7 +74,6 @@ def test_heatmap_escapes_task_names(tmp_path):
     matrix.tasks = ("x&y",)
     matrix.accuracies = {("x&y", 1): 1.0}
     matrix.deltas = {("x&y", 1): 0.0}
-    matrix.sizes = {("x&y", 1): 4}
     path = tmp_path / "heat.svg"
     forgetting_heatmap_svg(matrix, path)
     assert "x&amp;y" in path.read_text()

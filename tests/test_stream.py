@@ -228,12 +228,9 @@ def test_write_event_log_roundtrip(tmp_path):
         Event("c1", "c", "bob"),
         Event("c2", "d"),
     )
-    stream = EventStream(events, (2,))
     path = tmp_path / "log.csv"
-    write_event_log(stream, path, include_drift_column=True)
-    parsed = parse_event_log(path)
-    assert parsed.events == events
-    assert parsed.drift_indices == (2,)
+    write_event_log(EventStream(events), path)
+    assert parse_event_log(path).events == events
 
 
 def test_write_event_log_omits_drift_column_by_default(tmp_path):

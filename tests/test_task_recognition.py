@@ -14,18 +14,7 @@ from cnapwp.task_recognition import (
     match_task,
 )
 
-
-def tree_of(*paths):
-    tree = PrefixTree()
-    for path in paths:
-        tree.insert_case_path(tuple(path))
-    return tree
-
-
-def oracle_dissimilarity(new, stored):
-    """Brute force: the share of new root paths missing from the stored tree."""
-    new_paths = new.path_set()
-    return len(new_paths - stored.path_set()) / len(new_paths)
+from oracles import path_set_dissimilarity, root_paths, tree_of
 
 
 # -- tree construction -------------------------------------------------------
@@ -33,14 +22,9 @@ def oracle_dissimilarity(new, stored):
 
 def test_insert_builds_shared_prefixes():
     tree = tree_of("ab", "ac")
-    assert tree.path_set() == {("a",), ("a", "b"), ("a", "c")}
+    assert root_paths(tree) == {("a",), ("a", "b"), ("a", "c")}
     assert tree.node_count() == 3
     assert tree.event_count == 4
-
-
-def test_insert_rejects_empty_path():
-    with pytest.raises(ConfigurationError):
-        PrefixTree().insert_case_path(())
 
 
 def test_extend_case_equals_whole_path_insertion():
@@ -48,7 +32,7 @@ def test_extend_case_equals_whole_path_insertion():
     for case, act in [("c1", "a"), ("c2", "a"), ("c1", "b"), ("c2", "c"), ("c1", "d")]:
         incremental.extend_case(case, act)
     whole = tree_of("abd", "ac")
-    assert incremental.path_set() == whole.path_set()
+    assert root_paths(incremental) == root_paths(whole)
     assert incremental.node_count() == whole.node_count()
     assert incremental.event_count == whole.event_count
 
@@ -57,7 +41,7 @@ def test_empty_tree_properties():
     tree = PrefixTree()
     assert tree.is_empty
     assert tree.node_count() == 0
-    assert tree.path_set() == frozenset()
+    assert root_paths(tree) == frozenset()
 
 
 def test_to_dict_carries_frequencies():
@@ -76,7 +60,7 @@ def test_to_dict_carries_frequencies():
 def test_path_set_equals_all_prefixes(paths):
     tree = tree_of(*paths)
     expected = {tuple(p[:k]) for p in paths for k in range(1, len(p) + 1)}
-    assert tree.path_set() == frozenset(expected)
+    assert root_paths(tree) == frozenset(expected)
     assert tree.node_count() == len(expected)
 
 
@@ -118,7 +102,7 @@ def test_dissimilarity_empty_new_tree_raises():
 def test_dissimilarity_matches_path_set_oracle(new_paths, stored_paths):
     new = tree_of(*new_paths)
     stored = tree_of(*stored_paths) if stored_paths else PrefixTree()
-    assert dissimilarity(new, stored) == oracle_dissimilarity(new, stored)
+    assert dissimilarity(new, stored) == path_set_dissimilarity(new, stored)
 
 
 # -- buffers ---------------------------------------------------------------------
@@ -151,7 +135,7 @@ def test_build_from_buffer_groups_by_case():
     for case, act in [("c1", "a"), ("c2", "x"), ("c1", "b"), ("c2", "y"), ("c1", "c")]:
         buffer.add(Event(case, act))
     tree = build_from_buffer(buffer)
-    assert tree.path_set() == tree_of("abc", "xy").path_set()
+    assert root_paths(tree) == root_paths(tree_of("abc", "xy"))
 
 
 def test_traversals_handle_paths_deeper_than_the_recursion_limit():
@@ -160,7 +144,6 @@ def test_traversals_handle_paths_deeper_than_the_recursion_limit():
     for i in range(depth):
         deep.extend_case("c1", "ab"[i % 2])
     assert deep.node_count() == depth
-    assert len(deep.path_set()) == depth
     level, levels = deep.to_dict()["paths"], 0
     while level:
         assert [entry["activity"] for entry in level] == ["ab"[levels % 2]]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnapwp.errors import ConfigurationError
-from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, build_prefix, encode
+from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, Prefix, build_prefix, encode
 from cnapwp.stream import Event
 from cnapwp.window import SlidingWindow, partition_batches
 
@@ -12,9 +12,9 @@ from cnapwp.window import SlidingWindow, partition_batches
 def test_window_keeps_newest_capacity_events():
     window = SlidingWindow(3)
     for i in range(5):
-        window.push(Event(f"c{i}", str(i)))
+        window.push(Event("c", str(i)))
     assert len(window) == 3
-    assert [e.activity for e in window.events()] == ["2", "3", "4"]
+    assert window.activities_for_case("c") == ["2", "3", "4"]
 
 
 def test_window_signals_every_capacity_pushes():
@@ -49,7 +49,7 @@ def test_samples_skip_none():
     vocab = ActivityVocabulary(["a"])
     window = SlidingWindow(5)
     prefix = build_prefix(Event("c", "a"), window, vocab, 2)
-    sample = encode(prefix, "a", vocab, None)
+    sample = encode(prefix, "a", vocab, BucketConfig((2,)))
     window.push(Event("c", "a"), sample)
     window.push(Event("c", "b"))
     assert window.samples() == [sample]
@@ -76,8 +76,7 @@ def _samples_with_lengths(lengths, bucket_config):
     vocab = ActivityVocabulary(["a"])
     out = []
     for n in lengths:
-        history = [Event("c", "a")] * n
-        prefix = build_prefix(Event("c", "a"), history, vocab, max_len=8)
+        prefix = Prefix("c", (PAD_INDEX,) * (8 - n) + (1,) * n, n)
         out.append(encode(prefix, "a", vocab, bucket_config))
     return out
 
