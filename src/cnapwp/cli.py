@@ -267,11 +267,15 @@ def cmd_run(args) -> int:
 
 def _parse_list(text: str, kind: type, flag: str) -> list:
     try:
-        return [kind(t) for t in text.split(",")]
+        values = [kind(t) for t in text.split(",")]
     except ValueError:
         raise ConfigurationError(
             f"{flag} {text!r} is not a comma-separated list of {kind.__name__} values"
         ) from None
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigurationError(f"{flag} {text!r} repeats {value}")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -458,7 +462,9 @@ def cmd_report(args) -> int:
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
         config = summary.get("config", {})
-        window = config.get("curve_window") or config.get("window_size", 250)
+        window = config.get("curve_window")
+        if window is None:
+            window = config.get("window_size", 250)
         curves[label] = rolling_accuracy_curve(records, int(window))
         matrix = forgetting_matrix(records, summary.get("drift_indices"), summary.get("task_labels") or None)
         safe = label.replace("/", "_").replace(":", "_")

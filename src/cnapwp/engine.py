@@ -64,8 +64,8 @@ class StrategySpec:
 
     ``reinit_on_update`` rebuilds the backbone from its seed before every
     update pass; ``freeze_after`` freezes every layer except the classifier
-    head once that many events (warm-up included) have been processed, so the
-    frozen tensors stop receiving gradients entirely.
+    head once that many events (warm-up included) have been processed: the
+    engine sets the model's ``backbone_frozen`` after that event's update.
     """
 
     name: str
@@ -166,7 +166,6 @@ class OnlineEngine:
         self.events_seen = 0
         self.segment_ordinal = 1
         self._memory: list[EncodedSample] = []  # the training memory, unless it is the window
-        self._backbone_frozen = False
         self._dropout_rng = np.random.default_rng([config.seed, 7])
 
     # -- setup ---------------------------------------------------------------
@@ -264,8 +263,9 @@ class OnlineEngine:
         if window_full:
             self._train()
         # Freeze after the update so the threshold event still trains in full.
-        if strat.freeze_after is not None and not self._backbone_frozen and self.events_seen >= strat.freeze_after:
-            self._freeze_backbone()
+        if strat.freeze_after is not None and not self.model.backbone_frozen and self.events_seen >= strat.freeze_after:
+            self.model.backbone_frozen = True
+            log.info("backbone frozen at event %d", self.events_seen)
 
         return PredictionRecord(
             index=index,
@@ -345,14 +345,6 @@ class OnlineEngine:
         self.model = AttentionPredictor(
             self.model.cfg, self.vocab.width, max(1, len(self.vocab)), self.config.seed
         )
-
-    def _freeze_backbone(self) -> None:
-        """Stop gradients into everything but the classifier head."""
-        keep = set(id(p) for p in self.model.classifier_parameters())
-        for p in self.model.parameters():
-            p.trainable = id(p) in keep
-        self._backbone_frozen = True
-        log.info("backbone frozen at event %d", self.events_seen)
 
     # -- introspection --------------------------------------------------------
 
@@ -449,7 +441,7 @@ def run_session(
         records=records,
         drift_indices=measured.drift_indices,
         task_labels=measured.task_labels,
-        curve_window=config.curve_window or config.window_size,
+        curve_window=config.window_size if config.curve_window is None else config.curve_window,
         task_store=engine.task_store_snapshot(),
         config=config,
         total_runtime_s=time.perf_counter() - t0,

@@ -38,17 +38,16 @@ LOG_FLOOR = 1e-12
 
 
 class Parameter:
-    """A float64 tensor; ``backward`` returns its gradient only while it is trainable."""
+    """A named float64 tensor."""
 
-    __slots__ = ("name", "value", "trainable")
+    __slots__ = ("name", "value")
 
-    def __init__(self, value: np.ndarray, name: str = "", trainable: bool = True):
+    def __init__(self, value: np.ndarray, name: str = ""):
         self.value = np.array(value, dtype=np.float64)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,9 @@ class AttentionPredictor:
 
     ``input_width`` tracks the one-hot width (vocabulary size plus padding) and
     may grow; the internal width ``d_model`` is the smallest multiple of
-    ``heads`` covering the initial input width and never changes.
+    ``heads`` covering the initial input width and never changes. Once
+    ``backbone_frozen`` is set, only the classifier head (and any prompts)
+    keeps training.
     """
 
     def __init__(self, cfg: ModelConfig, input_width: int, n_classes: int, seed: int):
@@ -261,6 +262,7 @@ class AttentionPredictor:
         self.dense_b = Parameter(np.zeros(head_width), "dense.b")
         self.cls_w = Parameter(_fan_uniform(rng, head_width, n_classes), "classifier.w")
         self.cls_b = Parameter(np.zeros(n_classes), "classifier.b")
+        self.backbone_frozen = False
         # predict() results by (general, expert, bucket, activity indices); valid only
         # while no parameter changes, so train_window and grow clear it.
         self._predictions: dict[tuple, tuple[np.ndarray, int]] = {}
@@ -269,16 +271,6 @@ class AttentionPredictor:
     def layer_widths(self) -> list[int]:
         """Feature width entering each layer's projection."""
         return [self.input_width if layer == 0 else self.d_model for layer in range(self.cfg.layers)]
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for w, b in self.layers_qkv:
-            out.extend((w, b))
-        out.extend((self.dense_w, self.dense_b, self.cls_w, self.cls_b))
-        return out
-
-    def classifier_parameters(self) -> list[Parameter]:
-        return [self.cls_w, self.cls_b]
 
     # -- forward / backward ------------------------------------------------
 
@@ -306,10 +298,7 @@ class AttentionPredictor:
         rng: np.random.Generator | None = None,
         want_cache: bool = True,
     ) -> tuple[np.ndarray, ForwardCache | None]:
-        """Run a batch [B, max_len, input_width] (or one sample [max_len, input_width]) to class probabilities."""
-        single = x.ndim == 2
-        if single:
-            x = x[np.newaxis]
+        """Run a batch [B, max_len, input_width] to class probabilities."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != (self.cfg.max_len, self.input_width):
             raise ConfigurationError(
@@ -392,11 +381,16 @@ class AttentionPredictor:
             cache.flat = flat
             cache.dense_out = dense_out
             cache.probs = probs
-        return (probs[0] if single else probs), cache
+        return probs, cache
 
     def backward(self, cache: ForwardCache, targets: np.ndarray) -> list[tuple[Parameter, np.ndarray]]:
         """Gradients of the mean cross-entropy: one (parameter, gradient) pair per
-        trainable parameter the forward pass used, each gradient a fresh array."""
+        parameter the forward pass used that still learns, each gradient a fresh array.
+
+        The classifier and the prompts always learn; the rest of the backbone
+        only while it is not frozen. A frozen pass that used no prompt returns
+        right after the classifier pair, as nothing below it learns.
+        """
         cfg = self.cfg
         batch = cache.batch_size
         targets = np.asarray(targets)
@@ -413,15 +407,13 @@ class AttentionPredictor:
         floored = cache.probs[rows, targets - 1] <= LOG_FLOOR
         dz[floored] = 0.0
 
-        grads = []
-        if self.cls_w.trainable:
-            grads.append((self.cls_w, cache.dense_out.T @ dz))
-        if self.cls_b.trainable:
-            grads.append((self.cls_b, dz.sum(axis=0)))
+        grads = [(self.cls_w, cache.dense_out.T @ dz), (self.cls_b, dz.sum(axis=0))]
+        frozen = self.backbone_frozen
+        if frozen and not any(entry["sources"] for entry in cache.layers):
+            return grads
         d_dense = dz @ self.cls_w.value.T
-        if self.dense_w.trainable:
+        if not frozen:
             grads.append((self.dense_w, cache.flat.T @ d_dense))
-        if self.dense_b.trainable:
             grads.append((self.dense_b, d_dense.sum(axis=0)))
         d_flat = d_dense @ self.dense_w.value.T
         dh = d_flat.reshape(batch, self.final_seq_len, self.d_model)
@@ -462,18 +454,15 @@ class AttentionPredictor:
                 offset = 0
                 for block in entry["sources"]:
                     n = block.key.value.shape[0]
-                    if block.key.trainable:
-                        grads.append((block.key, dk_prompt[offset : offset + n]))
-                    if block.value.trainable:
-                        grads.append((block.value, dv_prompt[offset : offset + n]))
+                    grads.append((block.key, dk_prompt[offset : offset + n]))
+                    grads.append((block.value, dv_prompt[offset : offset + n]))
                     offset += n
             d_proj = d_proj.reshape(batch, t_q, 3 * d)
 
             w, b = self.layers_qkv[layer]
             h_in = entry["h_in"]
-            if w.trainable:
+            if not frozen:
                 grads.append((w, h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)))
-            if b.trainable:
                 grads.append((b, d_proj.sum(axis=(0, 1))))
             if layer == 0 and not entry["prepended"]:
                 break  # no layer or prompt below consumes the input gradient
@@ -484,8 +473,7 @@ class AttentionPredictor:
                 offset = 0
                 for block in entry["sources"]:
                     n = block.tokens.value.shape[0]
-                    if block.tokens.trainable:
-                        grads.append((block.tokens, d_tokens[offset : offset + n]))
+                    grads.append((block.tokens, d_tokens[offset : offset + n]))
                     offset += n
                 dh = dh[:, entry["prepended"] :]
         return grads
@@ -506,32 +494,31 @@ class AttentionPredictor:
         key = (general, expert, sample.bucket, sample.activities)
         hit = self._predictions.get(key)
         if hit is None:
-            x = one_hot(sample.activities, self.input_width)
+            x = one_hot((sample.activities,), self.input_width)
             probs, _ = self.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
+            probs = probs[0]
             probs.flags.writeable = False
             hit = self._predictions[key] = (probs, int(np.argmax(probs)) + 1)
         return hit
 
     # -- growth ------------------------------------------------------------
 
-    def grow(self, input_width: int | None = None, n_classes: int | None = None) -> None:
+    def grow(self, input_width: int, n_classes: int) -> None:
         self._predictions.clear()
-        if input_width is not None:
-            if input_width < self.input_width:
-                raise ConfigurationError(f"cannot shrink input width {self.input_width} -> {input_width}")
-            if input_width > self.input_width:
-                w, _ = self.layers_qkv[0]
-                extra = input_width - self.input_width
-                w.value = np.concatenate((w.value, np.zeros((extra, w.value.shape[1]))), axis=0)
-                self.input_width = input_width
-        if n_classes is not None:
-            if n_classes < self.n_classes:
-                raise ConfigurationError(f"cannot shrink classes {self.n_classes} -> {n_classes}")
-            if n_classes > self.n_classes:
-                extra = n_classes - self.n_classes
-                self.cls_w.value = np.concatenate((self.cls_w.value, np.zeros((self.cls_w.value.shape[0], extra))), axis=1)
-                self.cls_b.value = np.concatenate((self.cls_b.value, np.zeros(extra)))
-                self.n_classes = n_classes
+        if input_width < self.input_width:
+            raise ConfigurationError(f"cannot shrink input width {self.input_width} -> {input_width}")
+        if n_classes < self.n_classes:
+            raise ConfigurationError(f"cannot shrink classes {self.n_classes} -> {n_classes}")
+        if input_width > self.input_width:
+            w, _ = self.layers_qkv[0]
+            extra = input_width - self.input_width
+            w.value = np.concatenate((w.value, np.zeros((extra, w.value.shape[1]))), axis=0)
+            self.input_width = input_width
+        if n_classes > self.n_classes:
+            extra = n_classes - self.n_classes
+            self.cls_w.value = np.concatenate((self.cls_w.value, np.zeros((self.cls_w.value.shape[0], extra))), axis=1)
+            self.cls_b.value = np.concatenate((self.cls_b.value, np.zeros(extra)))
+            self.n_classes = n_classes
 
 
 def grow_vocabulary(
@@ -548,7 +535,7 @@ def grow_vocabulary(
     can regroup the sums), and growing in several steps equals growing once.
     """
     old_width = model.input_width
-    model.grow(input_width=input_width, n_classes=n_classes)
+    model.grow(input_width, n_classes)
     grown = model.input_width - old_width
     if grown and model.cfg.prompt_mode == PROMPT_MODE:
         def widen(block: PromptBlock):

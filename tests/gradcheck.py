@@ -23,6 +23,11 @@ def _loss(model, x, targets, general, expert, bucket_id, rng_factory):
     return mean_cross_entropy(probs, targets)
 
 
+def parameters(model):
+    """The backbone's parameters: each layer's QKV weight and bias, then the dense head's, then the classifier's."""
+    return [*(p for pair in model.layers_qkv for p in pair), model.dense_w, model.dense_b, model.cls_w, model.cls_b]
+
+
 def block_parameters(blocks):
     """The parameters of prompt blocks: each block's key, value and tokens, where present."""
     return [p for block in blocks for p in (block.key, block.value, block.tokens) if p is not None]
@@ -40,9 +45,10 @@ def prompt_parameters(general=None, expert=None, bucket_id=None):
 
 
 def trainable_parameters(model, general=None, expert=None, bucket_id=None):
-    """Every parameter the optimizer would touch for this forward setup."""
-    params = model.parameters() + prompt_parameters(general, expert, bucket_id)
-    return [p for p in params if p.trainable]
+    """Every parameter the optimizer would touch for this forward setup: of a
+    frozen backbone only the classifier, then the prompts."""
+    backbone = [model.cls_w, model.cls_b] if model.backbone_frozen else parameters(model)
+    return backbone + prompt_parameters(general, expert, bucket_id)
 
 
 def gradient_errors(

@@ -7,7 +7,9 @@ requires byte-identical parameters, so the faster code there cannot drift in
 rounding. They take the model as an argument, read its parameters and prompt
 layout, and change nothing but the ``.value`` of parameters. ``backward``
 returns its gradients as a dict from parameter to array, each accumulated from
-zeros, and ``sgd_step`` takes that dict.
+zeros, and ``sgd_step`` takes that dict. It reads ``model.backbone_frozen``
+but always backpropagates through every layer, so the model's early return
+for a frozen, prompt-less pass is checked against the full computation.
 
 The QKV weight gradient is one matrix product on the ``(batch * t, width)``
 reshape of the layer input and of the projection gradient, as in
@@ -33,9 +35,6 @@ def softmax(x, axis=-1):
 
 
 def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rng=None, want_cache=True):
-    single = x.ndim == 2
-    if single:
-        x = x[np.newaxis]
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.cfg.max_len:
         raise ConfigurationError(f"expected {model.cfg.max_len} input rows, got {x.shape[1]}")
@@ -109,7 +108,7 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
         cache.flat = flat
         cache.dense_out = dense_out
         cache.probs = probs
-    return (probs[0] if single else probs), cache
+    return probs, cache
 
 
 def backward(model, cache, targets):
@@ -133,14 +132,11 @@ def backward(model, cache, targets):
     def accumulate(p, g):
         grads.setdefault(p, np.zeros_like(p.value))[...] += g
 
-    if model.cls_w.trainable:
-        accumulate(model.cls_w, cache.dense_out.T @ dz)
-    if model.cls_b.trainable:
-        accumulate(model.cls_b, dz.sum(axis=0))
+    accumulate(model.cls_w, cache.dense_out.T @ dz)
+    accumulate(model.cls_b, dz.sum(axis=0))
     d_dense = dz @ model.cls_w.value.T
-    if model.dense_w.trainable:
+    if not model.backbone_frozen:
         accumulate(model.dense_w, cache.flat.T @ d_dense)
-    if model.dense_b.trainable:
         accumulate(model.dense_b, d_dense.sum(axis=0))
     d_flat = d_dense @ model.dense_w.value.T
     dh = d_flat.reshape(batch, model.final_seq_len, model.d_model)
@@ -171,10 +167,8 @@ def backward(model, cache, targets):
             offset = 0
             for block in entry["sources"]:
                 n = block.key.value.shape[0]
-                if block.key.trainable:
-                    accumulate(block.key, dk_prompt[offset : offset + n])
-                if block.value.trainable:
-                    accumulate(block.value, dv_prompt[offset : offset + n])
+                accumulate(block.key, dk_prompt[offset : offset + n])
+                accumulate(block.value, dv_prompt[offset : offset + n])
                 offset += n
             dk = dk_full[:, prompt_rows:]
             dv = dv_full[:, prompt_rows:]
@@ -184,9 +178,8 @@ def backward(model, cache, targets):
         d_proj = np.concatenate((dq, dk, dv), axis=-1)
         w, b = model.layers_qkv[layer]
         h_in = entry["h_in"]
-        if w.trainable:
+        if not model.backbone_frozen:
             accumulate(w, qkv_weight_gradient(h_in, d_proj))
-        if b.trainable:
             accumulate(b, d_proj.sum(axis=(0, 1)))
         dh = d_proj @ w.value.T
 
@@ -195,8 +188,7 @@ def backward(model, cache, targets):
             offset = 0
             for block in entry["sources"]:
                 n = block.tokens.value.shape[0]
-                if block.tokens.trainable:
-                    accumulate(block.tokens, d_tokens[offset : offset + n])
+                accumulate(block.tokens, d_tokens[offset : offset + n])
                 offset += n
             dh = dh[:, entry["prepended"] :]
     return grads

@@ -17,6 +17,8 @@ from cnapwp.baselines import (
 from cnapwp.engine import ALL_MEMORY, SINCE_DRIFT_MEMORY, WINDOW_MEMORY, OnlineEngine, run_session
 from cnapwp.errors import ConfigurationError
 
+from gradcheck import parameters
+
 
 def test_strategy_table():
     assert set(STRATEGIES) == {"cnapwp", "g_only", "e_only", "no_prompt", "landmark", "last_drift"}
@@ -72,10 +74,10 @@ def test_map_jobs_pool_matches_serial(tiny_stream, small_config):
 def test_reinit_rebuilds_the_backbone_from_seed(tiny_stream, small_config):
     engine = OnlineEngine(small_config, LANDMARK)
     engine.prepare(tiny_stream)
-    trained_names = {p.name: p.value.copy() for p in engine.model.parameters()}
+    trained_names = {p.name: p.value.copy() for p in parameters(engine.model)}
     engine.consume(tiny_stream, record=False)
     engine._reinit_model()
-    for p in engine.model.parameters():
+    for p in parameters(engine.model):
         assert np.array_equal(p.value, trained_names[p.name]), p.name
 
 

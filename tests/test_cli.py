@@ -450,6 +450,8 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         (["ablate", "--seeds", "1", "--set", "expert_layers=2"], None),
         (["run", "--set", "curve_window=-1"], None),
         (["ablate", "--conditions", ",", "--seeds", "1"], None),
+        (["ablate", "--seeds", "1,1"], None),
+        (["sweep", "--window", "30,30"], None),
     ],
 )
 def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):
@@ -514,6 +516,35 @@ def test_report_renders_svgs(run_dirs, tmp_path, capsys):
     texts = {el.text for el in root.iter(f"{SVG}text")}
     assert "cnapwp:r1" in texts
     assert "no_prompt:r2" in texts
+
+
+@pytest.fixture(scope="module")
+def curve_runs(gen_dir):
+    """Two runs that differ only in curve_window: 0 (each record's own hit) and window_size."""
+    runs = {}
+    for window in (0, 30):
+        runs[window] = gen_dir / f"curve{window}"
+        code = main(
+            ["run", "--stream", str(gen_dir / "stream.csv"), "--out", str(runs[window])]
+            + FAST + ["--set", f"curve_window={window}"]
+        )
+        assert code == 0
+    return runs
+
+
+def test_curve_window_0_curves_each_records_own_hit(curve_runs):
+    hits = [float(r.correct) for r in read_records_csv(curve_runs[0] / "records.csv")]
+    assert 0 < sum(hits) < len(hits)
+    rows = (curve_runs[0] / "accuracy_curve.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == hits
+
+
+def test_report_reads_curve_window_0(curve_runs, tmp_path):
+    svgs = []
+    for window, run in curve_runs.items():
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / f"report{window}")]) == 0
+        svgs.append((tmp_path / f"report{window}" / "accuracy_curves.svg").read_bytes())
+    assert svgs[0] != svgs[1]
 
 
 def test_report_missing_records_exits_2(tmp_path, capsys):

@@ -19,6 +19,8 @@ from cnapwp.preprocessing import BucketConfig
 from cnapwp.stream import Event, EventStream
 from cnapwp.task_recognition import PrefixTree
 
+from gradcheck import parameters
+
 
 def concept_stream():
     """Three 10-event segments: alphabet ab, then xy, then ab again."""
@@ -156,17 +158,14 @@ def test_freeze_after_stops_backbone_updates():
     engine = OnlineEngine(config, spec)
     engine.prepare(chain_stream(15))
     engine.consume(chain_stream(15))
-    assert engine._backbone_frozen
-    assert not engine.model.dense_w.trainable
-    assert engine.model.cls_w.trainable and engine.model.cls_b.trainable
+    assert engine.model.backbone_frozen
 
-    backbone_before = {
-        p.name: p.value.copy() for p in engine.model.parameters() if not p.trainable
-    }
+    head = {engine.model.cls_w, engine.model.cls_b}
+    backbone_before = {p.name: p.value.copy() for p in parameters(engine.model) if p not in head}
     head_before = engine.model.cls_w.value.copy()
     engine.consume(chain_stream(15, start=1), record=False)
-    for p in engine.model.parameters():
-        if not p.trainable:
+    for p in parameters(engine.model):
+        if p not in head:
             assert np.array_equal(p.value, backbone_before[p.name]), p.name
     assert not np.array_equal(engine.model.cls_w.value, head_before)
 
@@ -180,7 +179,7 @@ def test_freeze_threshold_event_still_trains_in_full():
     engine.consume(chain_stream(5))
     # The fifth event both fills the window and crosses the freeze threshold;
     # training runs before freezing, so the backbone did move once.
-    assert engine._backbone_frozen
+    assert engine.model.backbone_frozen
     assert not np.array_equal(engine.model.dense_w.value, dense_init)
 
 

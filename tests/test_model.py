@@ -27,7 +27,7 @@ from cnapwp.preprocessing import ActivityVocabulary, BucketConfig, build_prefix,
 from cnapwp.stream import Event
 from cnapwp.window import SlidingWindow
 
-from gradcheck import prompt_parameters
+from gradcheck import parameters, prompt_parameters
 
 
 def make_model(mode=PREFIX_MODE, input_width=5, n_classes=4, seed=11, **cfg_kwargs):
@@ -138,14 +138,6 @@ def test_forward_shapes_and_normalization():
     assert cache.batch_size == 3
 
 
-def test_forward_single_sample_squeezes():
-    model = make_model()
-    rng = np.random.default_rng(3)
-    x = one_hot_batch(model, rng, batch=1)[0]
-    probs, _ = model.forward(x, want_cache=False)
-    assert probs.shape == (model.n_classes,)
-
-
 def test_forward_rejects_wrong_shapes():
     model = make_model(input_width=4)
     with pytest.raises(ConfigurationError):
@@ -193,10 +185,10 @@ def test_same_seed_same_parameters():
     a = make_model(seed=21)
     b = make_model(seed=21)
     c = make_model(seed=22)
-    for pa, pb in zip(a.parameters(), b.parameters()):
+    for pa, pb in zip(parameters(a), parameters(b)):
         assert np.array_equal(pa.value, pb.value)
     assert any(
-        not np.array_equal(pa.value, pc.value) for pa, pc in zip(a.parameters(), c.parameters())
+        not np.array_equal(pa.value, pc.value) for pa, pc in zip(parameters(a), parameters(c))
     )
 
 
@@ -284,7 +276,7 @@ def build_prefix_like(history, vocab, max_len):
 
 
 def _logits_for(model, sample, general, expert):
-    x = one_hot(sample.activities, model.input_width)
+    x = one_hot((sample.activities,), model.input_width)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket)
     return cache.dense_out @ model.cls_w.value + model.cls_b.value
 
@@ -310,16 +302,16 @@ def test_growing_twice_equals_growing_once():
     grow_vocabulary(a, 6, 5)
     grow_vocabulary(a, 7, 6)
     grow_vocabulary(b, 7, 6)
-    for pa, pb in zip(a.parameters(), b.parameters()):
+    for pa, pb in zip(parameters(a), parameters(b)):
         assert np.array_equal(pa.value, pb.value)
 
 
 def test_growth_rejects_shrinking():
     model = make_model(input_width=5, n_classes=4)
     with pytest.raises(ConfigurationError):
-        model.grow(input_width=4)
+        model.grow(4, 4)
     with pytest.raises(ConfigurationError):
-        model.grow(n_classes=3)
+        model.grow(5, 3)
 
 
 def test_prompt_mode_growth_widens_first_layer_tokens():
@@ -345,20 +337,22 @@ def test_did_growth_keep_internal_width():
 
 
 def test_sgd_step_skips_frozen_parameters():
-    # backward pairs only the trainable parameters, so sgd_step never sees a frozen one.
+    # A frozen backbone pairs only its classifier (and the prompts), so sgd_step never sees the rest.
     from cnapwp.model import sgd_step
 
     model = make_model()
     general, expert = make_prompts(model)
-    model.dense_w.trainable = False
-    frozen = model.dense_w.value.copy()
+    model.backbone_frozen = True
+    frozen = parameters(model)[:-2]  # all but the classifier
+    before = [p.value.copy() for p in frozen]
     x = one_hot_batch(model, np.random.default_rng(0))
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
     grads = model.backward(cache, np.array([1, 2, 3]))
-    assert model.dense_w not in dict(grads)
+    assert model.cls_w in dict(grads) and model.dense_w not in dict(grads)
     expected = [p.value - 0.5 * g for p, g in grads]
     sgd_step(grads, lr=0.5)
-    assert np.array_equal(model.dense_w.value, frozen)
+    for p, value in zip(frozen, before):
+        assert np.array_equal(p.value, value), p.name
     for (p, _), want in zip(grads, expected):
         assert np.array_equal(p.value, want), p.name
 
@@ -409,9 +403,9 @@ def test_train_window_learns_a_fixed_mapping():
 
 def test_train_window_with_no_batches_is_a_noop():
     model = make_model()
-    snapshot = [p.value.copy() for p in model.parameters()]
+    snapshot = [p.value.copy() for p in parameters(model)]
     train_window(model, [], epochs=3, lr=0.1)
-    for p, before in zip(model.parameters(), snapshot):
+    for p, before in zip(parameters(model), snapshot):
         assert np.array_equal(p.value, before)
 
 
@@ -426,9 +420,9 @@ def _cached_setup():
 
 
 def _uncached(model, sample, general, expert):
-    x = one_hot(sample.activities, model.input_width)
+    x = one_hot((sample.activities,), model.input_width)
     probs, _ = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
-    return probs
+    return probs[0]
 
 
 def test_repeated_predict_returns_the_cached_read_only_result():

@@ -11,7 +11,7 @@ from cnapwp.model import (
     init_general_prompt,
 )
 
-from gradcheck import block_parameters, gradient_errors, prompt_parameters, trainable_parameters
+from gradcheck import block_parameters, gradient_errors, parameters, prompt_parameters, trainable_parameters
 
 # Central differences with step 1e-5 carry ~1e-9 absolute noise, which turns
 # into ~1e-5 relative error on near-zero coordinates; 1e-4 keeps headroom.
@@ -89,16 +89,6 @@ def test_gradients_under_replayed_dropout():
     assert max(errors) < TOL
 
 
-def test_frozen_parameters_accumulate_no_gradient():
-    model, general, expert = build(PREFIX_MODE)
-    model.cls_w.trainable = False
-    x, targets = batch_for(model)
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
-    grads = dict(model.backward(cache, targets))
-    assert model.cls_w not in grads
-    assert np.abs(grads[model.dense_w]).max() > 0
-
-
 def test_inactive_bucket_gets_no_gradient():
     model, general, expert = build(PREFIX_MODE)
     x, targets = batch_for(model)
@@ -151,17 +141,13 @@ def test_backward_pairs_each_used_trainable_parameter_once(layout, frozen, promp
     """sgd_step scales every gradient in place, so none may alias another or a value."""
     mode, general_layers = layout
     model, general, expert = build(mode, general_layers=general_layers, prompt_len=prompt_len)
-    if frozen:  # as the engine freezes the backbone: only the classifier keeps training
-        keep = {id(p) for p in model.classifier_parameters()}
-        for p in model.parameters():
-            p.trainable = id(p) in keep
+    model.backbone_frozen = frozen  # as the engine freezes it: of the backbone only the classifier trains
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
     pairs = model.backward(cache, targets)
 
-    every = model.parameters() + prompt_parameters(general, expert)
-    used = model.parameters() + prompt_parameters(general, expert, bucket_id=2)
-    expected = [p for p in used if p.trainable and p.value.size]
+    every = parameters(model) + prompt_parameters(general, expert)
+    expected = [p for p in trainable_parameters(model, general, expert, bucket_id=2) if p.value.size]
     assert sorted(p.name for p, _ in pairs) == sorted(p.name for p in expected)
     assert {id(p) for p, _ in pairs} == {id(p) for p in expected} and len(pairs) == len(expected)
     for p, grad in pairs:
