@@ -114,8 +114,13 @@ def write_engine_ini(config: EngineConfig, path: Path) -> None:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _prepare_outdir(path: Path, force: bool) -> Path:
+def _prepare_outdir(path: Path, force: bool, inputs) -> Path:
+    """Make an empty out folder; refuse, before deleting anything, one that is
+    or holds one of the command's input paths."""
     if path.exists():
+        for source in inputs:
+            if Path(source).resolve().is_relative_to(path.resolve()):
+                raise ConfigurationError(f"output {path} holds the input {source}; choose another --out")
         if not force:
             raise ConfigurationError(f"output {path} exists, pass --force to overwrite")
         if path.is_dir():
@@ -151,7 +156,10 @@ def _blas() -> str:
 
 
 def _load_stream(args):
-    """Parse the stream once, each sidecar from its flag or else from beside the stream."""
+    """Parse the stream once, each sidecar from its flag or else from beside the stream.
+
+    Returns the stream, its drift source and every file the command reads.
+    """
     base = Path(args.stream)
 
     def sidecar(flag: str | None, suffix: str):
@@ -160,9 +168,10 @@ def _load_stream(args):
         beside = base.with_suffix(suffix)
         return beside if beside.exists() else None
 
-    return parse_stream_with_sidecars(
-        args.stream, sidecar(args.drifts, ".drifts"), sidecar(args.tasks, ".tasks")
-    )
+    drifts, tasks = sidecar(args.drifts, ".drifts"), sidecar(args.tasks, ".tasks")
+    stream, drift_source = parse_stream_with_sidecars(args.stream, drifts, tasks)
+    inputs = [p for p in (args.stream, drifts, tasks, args.config) if p is not None]
+    return stream, drift_source, inputs
 
 
 def _require_drift_info(strategy_name: str, drift_source: str | None) -> None:
@@ -238,9 +247,9 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     config = load_engine_config(args.config, args.set)
     strategy = _resolve_strategy(args.strategy)
-    stream, drift_source = _load_stream(args)
+    stream, drift_source, inputs = _load_stream(args)
     _require_drift_info(strategy.name, drift_source)
-    outdir = _prepare_outdir(Path(args.out), args.force)
+    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
     _write_manifest(
         outdir,
         "run",
@@ -281,17 +290,18 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 def cmd_sweep(args) -> int:
     base = load_engine_config(args.config, args.set)
     strategy = _resolve_strategy(args.strategy)
-    stream, drift_source = _load_stream(args)
+    stream, drift_source, inputs = _load_stream(args)
     _require_drift_info(strategy.name, drift_source)
     windows = _parse_list(args.window, int, "--window")
     buffers = _parse_list(args.buffer, int, "--buffer")
     thresholds = _parse_list(args.threshold, float, "--threshold")
     workers = worker_cap(args.workers)
-    outdir = _prepare_outdir(Path(args.out), args.force)
     grid = [
         {"window_size": window, "buffer_size": buffer, "threshold": threshold}
         for window, buffer, threshold in itertools.product(windows, buffers, thresholds)
     ]
+    configs = [dataclasses.replace(base, **params) for params in grid]  # validates each grid point
+    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
     _write_manifest(
         outdir,
         "sweep",
@@ -305,7 +315,7 @@ def cmd_sweep(args) -> int:
             "engine": dataclasses.asdict(base),
         },
     )
-    jobs = [(stream, dataclasses.replace(base, **params), strategy, True) for params in grid]
+    jobs = [(stream, config, strategy, True) for config in configs]
     t0 = time.perf_counter()
     reports = map_jobs(run_session, jobs, workers)
     rows = [
@@ -340,21 +350,22 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError("--conditions must name at least one condition")
     conditions = {}
     for name in names:
-        if name in ABLATION_CONDITIONS:
-            conditions[name] = ABLATION_CONDITIONS[name]
-        elif name in STRATEGIES:
-            conditions[name] = STRATEGIES[name]
-        else:
+        spec = ABLATION_CONDITIONS.get(name, STRATEGIES.get(name))
+        if spec is None:
             raise ConfigurationError(
                 f"unknown condition {name!r}; choose from {sorted(set(ABLATION_CONDITIONS) | set(STRATEGIES))}"
             )
+        for other, seen in conditions.items():
+            if seen == spec:
+                raise ConfigurationError(f"--conditions {other!r} and {name!r} run the same strategy")
+        conditions[name] = spec
     seeds = _parse_list(args.seeds, int, "--seeds")
     configs = {seed: dataclasses.replace(base, seed=seed) for seed in seeds}  # validates each seed
     workers = worker_cap(args.workers)
-    stream, drift_source = _load_stream(args)
+    stream, drift_source, inputs = _load_stream(args)
     for name, strategy in conditions.items():
         _require_drift_info(strategy.name, drift_source)
-    outdir = _prepare_outdir(Path(args.out), args.force)
+    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
     _write_manifest(
         outdir,
         "ablate",
@@ -449,26 +460,30 @@ def _read_summary(path: Path) -> dict:
 
 def cmd_report(args) -> int:
     run_dirs = [Path(d) for d in args.runs]
+    runs = {}  # heatmap file name -> (run folder, label, summary)
     for d in run_dirs:
         if not (d / "records.csv").exists():
             raise ConfigurationError(f"{d} has no records.csv")
-    outdir = _prepare_outdir(Path(args.out), args.force)
-    _write_manifest(outdir, "report", {"runs": [str(d) for d in run_dirs]})
-    curves = {}
-    lines = []
-    for d in run_dirs:
-        records = read_records_csv(d / "records.csv")
         summary = _read_summary(d / "summary.json")
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
+        heatmap = "forgetting_" + label.replace("/", "_").replace(":", "_") + ".svg"
+        if heatmap in runs:
+            raise ConfigurationError(f"runs {runs[heatmap][0]} and {d} would both be reported as {heatmap}")
+        runs[heatmap] = (d, label, summary)
+    outdir = _prepare_outdir(Path(args.out), args.force, run_dirs)
+    _write_manifest(outdir, "report", {"runs": [str(d) for d in run_dirs]})
+    curves = {}
+    lines = []
+    for heatmap, (d, label, summary) in runs.items():
+        records = read_records_csv(d / "records.csv")
         config = summary.get("config", {})
         window = config.get("curve_window")
         if window is None:
             window = config.get("window_size", 250)
         curves[label] = rolling_accuracy_curve(records, int(window))
         matrix = forgetting_matrix(records, summary.get("drift_indices"), summary.get("task_labels") or None)
-        safe = label.replace("/", "_").replace(":", "_")
-        forgetting_heatmap_svg(matrix, outdir / f"forgetting_{safe}.svg")
+        forgetting_heatmap_svg(matrix, outdir / heatmap)
         acc = average_accuracy(records)
         lines.append(f"{label}: events={len(records)} accuracy={acc:.4f} forgetting={matrix.mean_positive_delta:.4f}")
     accuracy_curve_svg(curves, outdir / "accuracy_curves.svg")

@@ -15,67 +15,53 @@ from .errors import ConfigurationError
 from .stream import Event
 
 
-class _Node:
-    __slots__ = ("label", "frequency", "children")
-
-    def __init__(self, label: str | None):
-        self.label = label
-        self.frequency = 0
-        self.children: dict[str, _Node] = {}
-
-
 class PrefixTree:
     """Trie over case activity sequences with per-node visit frequencies.
 
-    ``event_count`` counts every inserted event (one node visit each). Cases
-    keep a cursor, so each case's path grows one event at a time however the
-    cases interleave.
+    Nodes are numbered 1, 2, ... in creation order, the root being 0, so a
+    parent always comes before its children; node ``k``'s activity, frequency
+    and parent sit at position ``k - 1`` of three flat lists, and one dict
+    finds a child by ``(parent, activity)``. ``event_count`` counts every
+    inserted event (one node visit each). Cases keep a cursor, so each case's
+    path grows one event at a time however the cases interleave.
     """
 
     def __init__(self):
-        self._root = _Node(None)
         self.event_count = 0
-        self._cursors: dict[str, _Node] = {}
+        self._activities: list[str] = []
+        self._frequencies: list[int] = []
+        self._parents: list[int] = []
+        self._children: dict[tuple[int, str], int] = {}
+        self._cursors: dict[str, int] = {}
 
     @property
     def is_empty(self) -> bool:
-        return not self._root.children
+        return not self._children
 
     def extend_case(self, case_id: str, activity: str) -> None:
         """Grow the case's path by one event."""
-        node = self._cursors.get(case_id, self._root)
-        child = node.children.get(activity)
-        if child is None:
-            child = _Node(activity)
-            node.children[activity] = child
-        child.frequency += 1
-        self._cursors[case_id] = child
+        parent = self._cursors.get(case_id, 0)
+        node = self._children.get((parent, activity))
+        if node is None:
+            self._activities.append(activity)
+            self._frequencies.append(0)
+            self._parents.append(parent)
+            node = self._children[(parent, activity)] = len(self._activities)
+        self._frequencies[node - 1] += 1
+        self._cursors[case_id] = node
         self.event_count += 1
 
     def node_count(self) -> int:
-        return _size_below(self._root)
+        return len(self._children)
 
     def to_dict(self) -> dict:
-        """Nested ``{activity, frequency, children}`` entries, children in insertion order."""
-        paths: list[dict] = []
-        stack = [(self._root, paths)]
-        while stack:
-            node, out = stack.pop()
-            for child in node.children.values():
-                entry = {"activity": child.label, "frequency": child.frequency, "children": []}
-                out.append(entry)
-                stack.append((child, entry["children"]))
-        return {"event_count": self.event_count, "paths": paths}
-
-
-def _size_below(node: _Node) -> int:
-    """Number of nodes strictly below ``node``."""
-    count, stack = 0, [node]
-    while stack:
-        children = stack.pop().children
-        count += len(children)
-        stack.extend(children.values())
-    return count
+        """``{activity, frequency, parent}`` per node in creation order; ``parent`` is
+        the parent's 1-based position in the list, 0 for the root."""
+        nodes = zip(self._activities, self._frequencies, self._parents)
+        return {
+            "event_count": self.event_count,
+            "nodes": [{"activity": a, "frequency": f, "parent": p} for a, f, p in nodes],
+        }
 
 
 @dataclass
@@ -121,23 +107,17 @@ def build_from_buffer(buffer: TaskBuffer) -> PrefixTree:
 def dissimilarity(new: PrefixTree, stored: PrefixTree) -> float:
     """Share of the new tree's root paths that the stored tree lacks.
 
-    Computed by walking both trees in lockstep: a new-tree node whose path
-    leaves the stored tree contributes itself and its whole subtree.
+    One pass over the new tree's nodes in creation order maps each to the
+    stored node on the same path, or to None once that path leaves the stored
+    tree; the Nones are the missing paths.
     """
     if new.is_empty:
         raise ConfigurationError("dissimilarity undefined for an empty new tree")
-
-    missing = 0
-    stack = [(new._root, stored._root)]
-    while stack:
-        new_node, stored_node = stack.pop()
-        for label, child in new_node.children.items():
-            match = stored_node.children.get(label)
-            if match is None:
-                missing += 1 + _size_below(child)
-            else:
-                stack.append((child, match))
-    return missing / new.node_count()
+    same: list[int | None] = [0]  # indexed by new-tree node number, root first
+    for activity, parent in zip(new._activities, new._parents):
+        at = same[parent]
+        same.append(None if at is None else stored._children.get((at, activity)))
+    return same.count(None) / new.node_count()
 
 
 def match_task(new_tree: PrefixTree, store: Sequence[TaskRecord], threshold: float) -> int | None:

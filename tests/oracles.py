@@ -12,14 +12,15 @@ def tree_of(*paths):
 
 
 def root_paths(tree):
-    """Every non-empty root path in the tree, read off its ``to_dict`` dump."""
-    paths, stack = set(), [((), tree.to_dict()["paths"])]
-    while stack:
-        prefix, entries = stack.pop()
-        for entry in entries:
-            path = prefix + (entry["activity"],)
-            paths.add(path)
-            stack.append((path, entry["children"]))
+    """Every non-empty root path in the tree, each rebuilt from its ``to_dict`` dump by following ``parent``."""
+    nodes = tree.to_dict()["nodes"]
+    paths = set()
+    for node in nodes:
+        path = []
+        while node is not None:
+            path.append(node["activity"])
+            node = nodes[node["parent"] - 1] if node["parent"] else None
+        paths.add(tuple(reversed(path)))
     return frozenset(paths)
 
 

@@ -452,6 +452,10 @@ def test_ablate_conditions_and_aggregate(gen_dir, capsys):
         (["ablate", "--conditions", ",", "--seeds", "1"], None),
         (["ablate", "--seeds", "1,1"], None),
         (["sweep", "--window", "30,30"], None),
+        (["sweep", "--window", "0"], None),
+        (["sweep", "--threshold", "1.5"], None),
+        (["sweep", "--buffer", "-1"], None),
+        (["ablate", "--conditions", "full,cnapwp", "--seeds", "1"], None),
     ],
 )
 def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsys, argv, env):
@@ -553,6 +557,37 @@ def test_report_missing_records_exits_2(tmp_path, capsys):
     code = main(["report", "--runs", str(empty), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "records.csv" in capsys.readouterr().err
+
+
+def test_report_refuses_runs_that_share_a_label(run_dirs, tmp_path, capsys):
+    a, b = tmp_path / "A" / "seed1", tmp_path / "B" / "seed1"
+    shutil.copytree(run_dirs[0], a)
+    shutil.copytree(run_dirs[0], b)
+    out = tmp_path / "report"
+    assert main(["report", "--runs", str(a), str(b), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(a) in err and str(b) in err
+    assert not out.exists()
+
+
+def test_force_refuses_to_delete_an_input(gen_dir, run_dirs, tmp_path, capsys):
+    run = tmp_path / "A" / "seed1"
+    shutil.copytree(run_dirs[0], run)
+    streams = tmp_path / "X"
+    streams.mkdir()
+    for suffix in (".csv", ".drifts", ".tasks"):
+        shutil.copy(gen_dir / f"stream{suffix}", streams / f"s{suffix}")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for argv in (
+        ["report", "--runs", str(run), "--out", str(run), "--force"],
+        ["report", "--runs", str(run), "--out", str(run.parent), "--force"],
+        ["run", "--stream", str(streams / "s.csv"), "--out", str(streams), "--force"] + FAST,
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "holds the input" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def edit_summary(text, **fields):

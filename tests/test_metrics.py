@@ -1,6 +1,4 @@
 """Accuracy, segmentation, forgetting, and CSV writers against hand oracles."""
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from cnapwp.metrics import (
     time_per_event,
     write_accuracy_curve_csv,
     write_forgetting_csv,
-    write_json,
     write_records_csv,
     write_timings_csv,
 )
@@ -246,29 +243,3 @@ def test_accuracy_curve_csv(tmp_path):
     path = tmp_path / "accuracy_curve.csv"
     write_accuracy_curve_csv(rolling_accuracy_curve(records, 10), path)
     assert path.read_text().splitlines() == ["index,accuracy", "0,1.000000", "1,0.500000"]
-
-
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
-_json_keys = st.text(max_size=4) | st.integers(-5, 5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.recursive(
-        _json_scalars,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.tuples(inner, inner)
-        | st.dictionaries(_json_keys, inner, max_size=4),
-        max_leaves=25,
-    )
-)
-def test_write_json_matches_the_standard_encoder(tmp_path_factory, obj):
-    path = tmp_path_factory.getbasetemp() / "write_json.json"
-    try:
-        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    except TypeError:  # mixed key types cannot be sorted
-        with pytest.raises(TypeError):
-            write_json(obj, path)
-        return
-    write_json(obj, path)
-    assert path.read_text() == expected

@@ -48,11 +48,11 @@ def test_to_dict_carries_frequencies():
     tree = tree_of("ab", "ab", "ac")
     dumped = tree.to_dict()
     assert dumped["event_count"] == 6
-    root_children = {n["activity"]: n for n in dumped["paths"]}
-    assert root_children["a"]["frequency"] == 3
-    grand = {n["activity"]: n for n in root_children["a"]["children"]}
-    assert grand["b"]["frequency"] == 2
-    assert grand["c"]["frequency"] == 1
+    assert dumped["nodes"] == [
+        {"activity": "a", "frequency": 3, "parent": 0},
+        {"activity": "b", "frequency": 2, "parent": 1},
+        {"activity": "c", "frequency": 1, "parent": 1},
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,11 +144,9 @@ def test_traversals_handle_paths_deeper_than_the_recursion_limit():
     for i in range(depth):
         deep.extend_case("c1", "ab"[i % 2])
     assert deep.node_count() == depth
-    level, levels = deep.to_dict()["paths"], 0
-    while level:
-        assert [entry["activity"] for entry in level] == ["ab"[levels % 2]]
-        level, levels = level[0]["children"], levels + 1
-    assert levels == depth
+    nodes = deep.to_dict()["nodes"]
+    assert [node["activity"] for node in nodes] == ["ab"[i % 2] for i in range(depth)]
+    assert [node["parent"] for node in nodes] == list(range(depth))
     assert dissimilarity(deep, deep) == 0.0
     assert dissimilarity(deep, tree_of("ab")) == (depth - 2) / depth
     assert dissimilarity(deep, tree_of("x")) == 1.0
@@ -156,10 +154,10 @@ def test_traversals_handle_paths_deeper_than_the_recursion_limit():
 
 def test_to_dict_keeps_child_insertion_order():
     tree = tree_of("ac", "ab", "b", "ad")
-    top = tree.to_dict()["paths"]
-    assert [entry["activity"] for entry in top] == ["a", "b"]
-    assert [entry["activity"] for entry in top[0]["children"]] == ["c", "b", "d"]
-    assert [entry["frequency"] for entry in top] == [3, 1]
+    nodes = tree.to_dict()["nodes"]
+    assert [node["activity"] for node in nodes] == ["a", "c", "b", "b", "d"]
+    assert [node["parent"] for node in nodes] == [0, 1, 1, 0, 1]
+    assert [node["frequency"] for node in nodes] == [3, 1, 1, 1, 1]
 
 
 # -- matching --------------------------------------------------------------------
