@@ -161,6 +161,8 @@ def _load_stream(args):
     Returns the stream, its drift source and every file the command reads.
     """
     base = Path(args.stream)
+    if base.is_dir():
+        raise ConfigurationError(f"--stream {args.stream} is a directory, not an event log CSV")
 
     def sidecar(flag: str | None, suffix: str):
         if flag is not None:
@@ -460,23 +462,23 @@ def _read_summary(path: Path) -> dict:
 
 def cmd_report(args) -> int:
     run_dirs = [Path(d) for d in args.runs]
-    runs = {}  # heatmap file name -> (run folder, label, summary)
+    runs = {}  # heatmap file name -> (run folder, label, summary, records)
     for d in run_dirs:
         if not (d / "records.csv").exists():
             raise ConfigurationError(f"{d} has no records.csv")
+        records = read_records_csv(d / "records.csv")
         summary = _read_summary(d / "summary.json")
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
         heatmap = "forgetting_" + label.replace("/", "_").replace(":", "_") + ".svg"
         if heatmap in runs:
             raise ConfigurationError(f"runs {runs[heatmap][0]} and {d} would both be reported as {heatmap}")
-        runs[heatmap] = (d, label, summary)
+        runs[heatmap] = (d, label, summary, records)
     outdir = _prepare_outdir(Path(args.out), args.force, run_dirs)
     _write_manifest(outdir, "report", {"runs": [str(d) for d in run_dirs]})
     curves = {}
     lines = []
-    for heatmap, (d, label, summary) in runs.items():
-        records = read_records_csv(d / "records.csv")
+    for heatmap, (_, label, summary, records) in runs.items():
         config = summary.get("config", {})
         window = config.get("curve_window")
         if window is None:

@@ -5,10 +5,10 @@ runs scaled dot-product attention with row softmax and dropout, flattens, and
 classifies through a dense layer plus softmax head. Prompts attach in one of
 two ways:
 
-* prefix mode: learned key/value rows are prepended to K and V of a layer, so
-  queries and the output length are untouched;
-* prompt mode: learned token rows are prepended to the layer input, extending
-  the sequence (the dense head is sized for the extended length).
+* prefix mode: a layer's block holds key rows and value rows, prepended to K
+  and V of the layer, so queries and the output length are untouched;
+* prompt mode: a layer's block holds token rows, prepended to the layer input,
+  extending the sequence (the dense head is sized for the extended length).
 
 The shared prompt attaches at the shallow layers, the expert (per-task plus
 per-bucket) prompts at the deeper ones. All math is float64 and every
@@ -24,8 +24,8 @@ classes a logit of exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .preprocessing import EncodedSample
 PREFIX_MODE = "prefix"
 PROMPT_MODE = "prompt"
 LOG_FLOOR = 1e-12
+MAX_DENSE_WEIGHT_BYTES = 4 << 30  # the largest benchmark model, wide-prefix, has a 2.5 MB dense weight
 
 
 class Parameter:
@@ -81,6 +82,23 @@ class ModelConfig:
         for layer in (*self.general_layers, *self.expert_layers):
             if not 0 <= layer < self.layers:
                 raise ConfigurationError(f"prompt layer {layer} outside [0, {self.layers})")
+        self.check_dense_weight(self.heads)  # the smallest model: d_model = heads
+
+    @property
+    def final_seq_len(self) -> int:
+        """Rows reaching the dense head: the rows prompt mode prepends persist to it."""
+        if self.prompt_mode == PREFIX_MODE:
+            return self.max_len
+        return self.max_len + sum(self.rows_attached_at(layer) for layer in range(self.layers))
+
+    def check_dense_weight(self, d_model: int) -> None:
+        """Refuse a dense weight of ``8 * (final_seq_len * d_model)**2`` bytes above MAX_DENSE_WEIGHT_BYTES."""
+        size = 8 * (self.final_seq_len * d_model) ** 2
+        if size > MAX_DENSE_WEIGHT_BYTES:
+            raise ConfigurationError(
+                f"the dense weight of {self.final_seq_len} rows x d_model {d_model} would take "
+                f"{size / 2**30:,.1f} GiB, above the {MAX_DENSE_WEIGHT_BYTES >> 30} GiB cap"
+            )
 
     def rows_attached_at(self, layer: int) -> int:
         """Prompt rows contributed at a layer given the declared prompt kinds."""
@@ -92,43 +110,32 @@ class ModelConfig:
         return rows
 
 
-@dataclass
-class PromptBlock:
-    """One layer's prompt parameters: key/value rows (prefix mode) or token rows."""
-
-    key: Parameter | None = None
-    value: Parameter | None = None
-    tokens: Parameter | None = None
-
-
 class GeneralPrompt:
     """Task-invariant prompt blocks, keyed by layer."""
 
-    def __init__(self, blocks: dict[int, PromptBlock]):
+    def __init__(self, blocks: dict[int, Parameter]):
         self.blocks = blocks
 
 
 class ExpertPromptSet:
     """One task's prompt parameters: a task block plus one block per bucket, per layer."""
 
-    def __init__(self, task_blocks: dict[int, PromptBlock], bucket_blocks: dict[int, dict[int, PromptBlock]]):
+    def __init__(self, task_blocks: dict[int, Parameter], bucket_blocks: dict[int, dict[int, Parameter]]):
         self.task_blocks = task_blocks
         self.bucket_blocks = bucket_blocks
 
 
-def _make_block(cfg: ModelConfig, layer: int, d_model: int, layer_width: int, rng: np.random.Generator, name: str) -> PromptBlock:
-    if cfg.prompt_mode == PREFIX_MODE:
-        return PromptBlock(
-            key=Parameter(rng.uniform(-0.1, 0.1, (cfg.prompt_len, d_model)), f"{name}.key"),
-            value=Parameter(rng.uniform(-0.1, 0.1, (cfg.prompt_len, d_model)), f"{name}.value"),
-        )
-    return PromptBlock(tokens=Parameter(rng.uniform(-0.1, 0.1, (cfg.prompt_len, layer_width)), f"{name}.tokens"))
+def _make_block(cfg: ModelConfig, d_model: int, layer_width: int, rng: np.random.Generator, name: str) -> Parameter:
+    """One layer's prompt block: in prefix mode (2, prompt_len, d_model), key rows
+    then value rows; in prompt mode (prompt_len, layer_width) token rows."""
+    shape = (2, cfg.prompt_len, d_model) if cfg.prompt_mode == PREFIX_MODE else (cfg.prompt_len, layer_width)
+    return Parameter(rng.uniform(-0.1, 0.1, shape), name)
 
 
 def init_general_prompt(cfg: ModelConfig, d_model: int, layer_widths: Sequence[int], seed: int) -> GeneralPrompt:
     rng = np.random.default_rng([seed, 101])
     blocks = {
-        layer: _make_block(cfg, layer, d_model, layer_widths[layer], rng, f"general.l{layer}")
+        layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"general.l{layer}")
         for layer in sorted(cfg.general_layers)
     }
     return GeneralPrompt(blocks)
@@ -145,12 +152,12 @@ def init_expert_prompts(
     """Fresh expert blocks, i.i.d. uniform [-0.1, 0.1], deterministic per (seed, task_id)."""
     rng = np.random.default_rng([seed, 211, task_id])
     task_blocks = {
-        layer: _make_block(cfg, layer, d_model, layer_widths[layer], rng, f"task{task_id}.l{layer}")
+        layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"task{task_id}.l{layer}")
         for layer in sorted(cfg.expert_layers)
     }
     bucket_blocks = {
         bucket: {
-            layer: _make_block(cfg, layer, d_model, layer_widths[layer], rng, f"task{task_id}.b{bucket}.l{layer}")
+            layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"task{task_id}.b{bucket}.l{layer}")
             for layer in sorted(cfg.expert_layers)
         }
         for bucket in bucket_ids
@@ -158,17 +165,15 @@ def init_expert_prompts(
     return ExpertPromptSet(task_blocks, bucket_blocks)
 
 
+@dataclass(slots=True)
 class ForwardCache:
     """Everything the backward pass needs from one forward pass."""
 
-    __slots__ = ("layers", "flat", "dense_out", "probs", "batch_size")
-
-    def __init__(self):
-        self.layers: list[dict] = []
-        self.flat = None
-        self.dense_out = None
-        self.probs = None
-        self.batch_size = 0
+    batch_size: int
+    layers: list[dict] = field(default_factory=list)
+    flat: np.ndarray | None = None
+    dense_out: np.ndarray | None = None
+    probs: np.ndarray | None = None
 
 
 # From about this many rows on, a running maximum over the columns of a short
@@ -204,18 +209,24 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def attach_prefix(
-    prompt_key: np.ndarray, prompt_value: np.ndarray, keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prepend prompt rows to batched keys and values; queries stay untouched."""
-    if prompt_key.shape != prompt_value.shape:
-        raise ValueError(f"prompt key/value shapes differ: {prompt_key.shape} vs {prompt_value.shape}")
-    if prompt_key.ndim != 2 or prompt_key.shape[1] != keys.shape[-1]:
-        raise ValueError(f"prompt width {prompt_key.shape} does not match keys width {keys.shape[-1]}")
-    batch = keys.shape[0]
-    pk = np.broadcast_to(prompt_key, (batch, *prompt_key.shape))
-    pv = np.broadcast_to(prompt_value, (batch, *prompt_value.shape))
+def attach_prefix(prompt_rows: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prepend ``prompt_rows[0]`` to batched keys and ``prompt_rows[1]`` to batched values."""
+    if prompt_rows.ndim != 3 or len(prompt_rows) != 2 or prompt_rows.shape[2] != keys.shape[-1]:
+        raise ValueError(f"prompt rows {prompt_rows.shape} are not (2, rows, keys width {keys.shape[-1]})")
+    shape = (keys.shape[0], *prompt_rows.shape[1:])
+    pk = np.broadcast_to(prompt_rows[0], shape)
+    pv = np.broadcast_to(prompt_rows[1], shape)
     return np.concatenate((pk, keys), axis=1), np.concatenate((pv, values), axis=1)
+
+
+def _block_gradients(blocks: Sequence[Parameter], d_rows: np.ndarray) -> Iterator[tuple[Parameter, np.ndarray]]:
+    """Each block's slice, along axis -2, of the gradient of the rows ``forward``
+    concatenated from ``blocks``."""
+    offset = 0
+    for block in blocks:
+        n = block.value.shape[-2]
+        yield block, d_rows[..., offset : offset + n, :]
+        offset += n
 
 
 def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -244,11 +255,8 @@ class AttentionPredictor:
         self.n_classes = n_classes
         self.d_model = math.ceil(input_width / cfg.heads) * cfg.heads
         self.d_head = self.d_model // cfg.heads
-
-        # Prompt mode prepends rows at each prompted layer, and they persist to the head.
-        self.final_seq_len = cfg.max_len
-        if cfg.prompt_mode == PROMPT_MODE:
-            self.final_seq_len += sum(cfg.rows_attached_at(layer) for layer in range(cfg.layers))
+        self.final_seq_len = cfg.final_seq_len
+        cfg.check_dense_weight(self.d_model)
 
         rng = np.random.default_rng([seed, 97])
         self.layers_qkv: list[tuple[Parameter, Parameter]] = []
@@ -274,9 +282,9 @@ class AttentionPredictor:
 
     # -- forward / backward ------------------------------------------------
 
-    def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[PromptBlock]:
+    def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[Parameter]:
         cfg = self.cfg
-        sources: list[PromptBlock] = []
+        sources: list[Parameter] = []
         if cfg.use_general and general is not None and layer in cfg.general_layers and cfg.prompt_len > 0:
             sources.append(general.blocks[layer])
         if cfg.use_expert and expert is not None and layer in cfg.expert_layers and cfg.prompt_len > 0:
@@ -311,27 +319,23 @@ class AttentionPredictor:
         if use_dropout and rng is None:
             raise ConfigurationError("training with dropout needs an rng")
 
-        cache = ForwardCache() if want_cache else None
-        if cache is not None:
-            cache.batch_size = batch
+        cache = ForwardCache(batch) if want_cache else None
 
         h = x
         for layer in range(cfg.layers):
             sources = self._gather_sources(layer, general, expert, bucket_id)
+            rows = np.concatenate([src.value for src in sources], axis=-2) if sources else None
             prepended = 0
             if cfg.prompt_mode == PROMPT_MODE and sources:
-                tokens = np.concatenate([src.tokens.value for src in sources], axis=0)
-                prepended = tokens.shape[0]
-                h = np.concatenate((np.broadcast_to(tokens, (batch, *tokens.shape)), h), axis=1)
+                prepended = rows.shape[0]
+                h = np.concatenate((np.broadcast_to(rows, (batch, *rows.shape)), h), axis=1)
             w, b = self.layers_qkv[layer]
             proj = h @ w.value
             proj += b.value
             d = self.d_model
             q, k, v = proj[..., :d], proj[..., d : 2 * d], proj[..., 2 * d :]
             if cfg.prompt_mode == PREFIX_MODE and sources:
-                pk = np.concatenate([src.key.value for src in sources], axis=0)
-                pv = np.concatenate([src.value.value for src in sources], axis=0)
-                k_full, v_full = attach_prefix(pk, pv, k, v)
+                k_full, v_full = attach_prefix(rows, k, v)
             else:
                 k_full, v_full = k, v
             t_q = q.shape[1]
@@ -449,14 +453,9 @@ class AttentionPredictor:
                 d_vh = attn.swapaxes(-1, -2) @ d_out_h
                 dk[...] = d_kh[:, :, prompt_rows:]
                 dv[...] = d_vh[:, :, prompt_rows:]
-                dk_prompt = d_kh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
-                dv_prompt = d_vh[:, :, :prompt_rows].sum(axis=0).swapaxes(0, 1).reshape(prompt_rows, d)
-                offset = 0
-                for block in entry["sources"]:
-                    n = block.key.value.shape[0]
-                    grads.append((block.key, dk_prompt[offset : offset + n]))
-                    grads.append((block.value, dv_prompt[offset : offset + n]))
-                    offset += n
+                # (2, heads, prompt_rows, d_head) -> (2, prompt_rows, d): key rows, then value rows.
+                d_rows = np.stack((d_kh[:, :, :prompt_rows].sum(axis=0), d_vh[:, :, :prompt_rows].sum(axis=0)))
+                grads.extend(_block_gradients(entry["sources"], d_rows.swapaxes(1, 2).reshape(2, prompt_rows, d)))
             d_proj = d_proj.reshape(batch, t_q, 3 * d)
 
             w, b = self.layers_qkv[layer]
@@ -469,12 +468,7 @@ class AttentionPredictor:
             dh = d_proj @ w.value.T
 
             if entry["prepended"]:
-                d_tokens = dh[:, : entry["prepended"]].sum(axis=0)
-                offset = 0
-                for block in entry["sources"]:
-                    n = block.tokens.value.shape[0]
-                    grads.append((block.tokens, d_tokens[offset : offset + n]))
-                    offset += n
+                grads.extend(_block_gradients(entry["sources"], dh[:, : entry["prepended"]].sum(axis=0)))
                 dh = dh[:, entry["prepended"] :]
         return grads
 
@@ -538,20 +532,11 @@ def grow_vocabulary(
     model.grow(input_width, n_classes)
     grown = model.input_width - old_width
     if grown and model.cfg.prompt_mode == PROMPT_MODE:
-        def widen(block: PromptBlock):
-            if block.tokens is not None and block.tokens.value.shape[1] == old_width:
-                block.tokens.value = np.concatenate(
-                    (block.tokens.value, np.zeros((block.tokens.value.shape[0], grown))), axis=1
-                )
-
-        if general is not None and 0 in general.blocks:
-            widen(general.blocks[0])
+        by_layer = [general.blocks] if general is not None else []
         for expert in expert_sets:
-            if 0 in expert.task_blocks:
-                widen(expert.task_blocks[0])
-            for per_layer in expert.bucket_blocks.values():
-                if 0 in per_layer:
-                    widen(per_layer[0])
+            by_layer += [expert.task_blocks, *expert.bucket_blocks.values()]
+        for block in (blocks[0] for blocks in by_layer if 0 in blocks):
+            block.value = np.concatenate((block.value, np.zeros((block.value.shape[0], grown))), axis=1)
 
 
 # -- loss and optimization --------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from typing import IO, Mapping, Sequence
@@ -115,6 +116,17 @@ def _parse_timestamp(text: str, line: int):
         raise StreamParseError(f"unparseable timestamp {text!r}", line) from None
 
 
+@contextmanager
+def _open_text(path: str | os.PathLike):
+    """``path`` as UTF-8 text, byte-order mark allowed, line endings untranslated
+    (as ``csv`` needs); a byte that is not UTF-8 is a StreamParseError naming the file."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise StreamParseError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}") from None
+
+
 def parse_event_log(source: str | os.PathLike | IO[str], schema: LogSchema = DEFAULT_SCHEMA) -> EventStream:
     """Parse a CSV event log into an ordered EventStream.
 
@@ -125,7 +137,7 @@ def parse_event_log(source: str | os.PathLike | IO[str], schema: LogSchema = DEF
     """
     if hasattr(source, "read"):
         return _parse_rows(csv.reader(source), schema)
-    with open(source, "r", newline="", encoding="utf-8") as fh:
+    with _open_text(source) as fh:
         return _parse_rows(csv.reader(fh), schema)
 
 
@@ -182,7 +194,7 @@ def _parse_rows(reader, schema: LogSchema) -> EventStream:
 def load_drift_indices(path: str | os.PathLike) -> tuple[int, ...]:
     """Read a drift sidecar: newline-separated 0-based indices."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -196,7 +208,7 @@ def load_drift_indices(path: str | os.PathLike) -> tuple[int, ...]:
 
 def load_task_labels(path: str | os.PathLike) -> tuple[str, ...]:
     """Read a task-label sidecar: one label per segment."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return tuple(line.strip() for line in fh if line.strip())
 
 

@@ -28,20 +28,15 @@ def parameters(model):
     return [*(p for pair in model.layers_qkv for p in pair), model.dense_w, model.dense_b, model.cls_w, model.cls_b]
 
 
-def block_parameters(blocks):
-    """The parameters of prompt blocks: each block's key, value and tokens, where present."""
-    return [p for block in blocks for p in (block.key, block.value, block.tokens) if p is not None]
-
-
 def prompt_parameters(general=None, expert=None, bucket_id=None):
-    """The general blocks' parameters, then the expert's task blocks', then its
-    bucket blocks': every bucket's, or only ``bucket_id``'s when given."""
+    """The general blocks, then the expert's task blocks, then its bucket blocks:
+    every bucket's, or only ``bucket_id``'s when given."""
     blocks = list(general.blocks.values()) if general is not None else []
     if expert is not None:
         blocks.extend(expert.task_blocks.values())
         buckets = expert.bucket_blocks.values() if bucket_id is None else [expert.bucket_blocks[bucket_id]]
         blocks.extend(block for per_layer in buckets for block in per_layer.values())
-    return block_parameters(blocks)
+    return blocks
 
 
 def trainable_parameters(model, general=None, expert=None, bucket_id=None):

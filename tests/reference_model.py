@@ -45,16 +45,14 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
     if use_dropout and rng is None:
         raise ConfigurationError("training with dropout needs an rng")
 
-    cache = ForwardCache() if want_cache else None
-    if cache is not None:
-        cache.batch_size = batch
+    cache = ForwardCache(batch) if want_cache else None
 
     h = x
     for layer in range(cfg.layers):
         sources = model._gather_sources(layer, general, expert, bucket_id)
         prepended = 0
         if cfg.prompt_mode == PROMPT_MODE and sources:
-            tokens = np.concatenate([src.tokens.value for src in sources], axis=0)
+            tokens = np.concatenate([src.value for src in sources], axis=0)
             prepended = tokens.shape[0]
             h = np.concatenate((np.broadcast_to(tokens, (batch, *tokens.shape)), h), axis=1)
         w, b = model.layers_qkv[layer]
@@ -62,9 +60,9 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
         d = model.d_model
         q, k, v = proj[..., :d], proj[..., d : 2 * d], proj[..., 2 * d :]
         if cfg.prompt_mode == PREFIX_MODE and sources:
-            pk = np.concatenate([src.key.value for src in sources], axis=0)
-            pv = np.concatenate([src.value.value for src in sources], axis=0)
-            k_full, v_full = attach_prefix(pk, pv, k, v)
+            pk = np.concatenate([src.value[0] for src in sources], axis=0)
+            pv = np.concatenate([src.value[1] for src in sources], axis=0)
+            k_full, v_full = attach_prefix(np.stack((pk, pv)), k, v)
         else:
             k_full, v_full = k, v
         t_q = q.shape[1]
@@ -166,9 +164,8 @@ def backward(model, cache, targets):
             dv_prompt = dv_full[:, :prompt_rows].sum(axis=0)
             offset = 0
             for block in entry["sources"]:
-                n = block.key.value.shape[0]
-                accumulate(block.key, dk_prompt[offset : offset + n])
-                accumulate(block.value, dv_prompt[offset : offset + n])
+                n = block.value.shape[1]
+                accumulate(block, np.stack((dk_prompt[offset : offset + n], dv_prompt[offset : offset + n])))
                 offset += n
             dk = dk_full[:, prompt_rows:]
             dv = dv_full[:, prompt_rows:]
@@ -187,8 +184,8 @@ def backward(model, cache, targets):
             d_tokens = dh[:, : entry["prepended"]].sum(axis=0)
             offset = 0
             for block in entry["sources"]:
-                n = block.tokens.value.shape[0]
-                accumulate(block.tokens, d_tokens[offset : offset + n])
+                n = block.value.shape[0]
+                accumulate(block, d_tokens[offset : offset + n])
                 offset += n
             dh = dh[:, entry["prepended"] :]
     return grads

@@ -30,7 +30,7 @@ from cnapwp.stream import DriftSchedule, generate_drift_stream
 from cnapwp.synthetic import builtin_processes, sample_pool
 from cnapwp.task_recognition import dissimilarity
 
-from gradcheck import block_parameters, gradient_errors
+from gradcheck import gradient_errors
 from oracles import path_set_dissimilarity, tree_of
 
 SEEDS = (7, 11, 23, 31, 47)
@@ -147,7 +147,7 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
         chunk.append(EncodedSample(activities=activities, target=int(rng.integers(1, 4)), bucket=2))
 
     def bucket_values(bucket_id):
-        return [p.value.copy() for p in block_parameters(expert.bucket_blocks[bucket_id].values())]
+        return [p.value.copy() for p in expert.bucket_blocks[bucket_id].values()]
 
     before = {b: bucket_values(b) for b in (1, 2, 3)}
     train_window(model, [(2, [chunk])], epochs=1, lr=0.1, general=general, expert=expert)

@@ -259,6 +259,50 @@ def test_memory_error_exits_3_with_one_line(gen_dir, tmp_path, monkeypatch, caps
     assert err == "error: out of memory: Unable to allocate 224. GiB for an array with shape (8, 3750000000)\n"
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("setting", ["max_len=100000", "heads=100000"])
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+def test_impossible_model_size_exits_2_before_the_folder(gen_dir, tmp_path, capsys, command, setting):
+    out = tmp_path / "out"
+    argv = [command, "--stream", str(gen_dir / "stream.csv"), "--out", str(out)] + FAST + ["--set", setting]
+    assert main(argv) == 2
+    assert "GiB" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+def test_directory_as_stream_exits_2(gen_dir, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(gen_dir)
+    out = tmp_path / "out"
+    for stream in (".", str(tmp_path)):
+        assert main([command, "--stream", stream, "--out", str(out)] + FAST) == 2
+        assert "is a directory" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_bytes_that_are_not_utf8_exit_3_naming_the_file(gen_dir, tmp_path, capsys):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes((gen_dir / "stream.csv").read_bytes().replace(b"\n", b"\n\xff", 1))
+    bad_drifts = tmp_path / "bad.drifts"
+    bad_drifts.write_bytes(b"40\n\xff\n")
+    cases = [
+        (["run", "--stream", str(bad_csv), "--out", str(tmp_path / "o1")] + FAST, bad_csv),
+        (["run", "--stream", str(gen_dir / "stream.csv"), "--drifts", str(bad_drifts),
+          "--out", str(tmp_path / "o2")] + FAST, bad_drifts),
+        (["gen", "--out", str(tmp_path / "s"), "--concepts", "bad", "--pool", f"bad={bad_csv}"], bad_csv),
+    ]
+    for argv, culprit in cases:
+        assert main(argv) == 3, argv
+        err = assert_one_error_line(capsys)
+        assert str(culprit) in err and "not UTF-8" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.drifts"]
+
+
 def test_run_data_errors(tmp_path, capsys):
     short_row = tmp_path / "short.csv"
     short_row.write_text("case_id,activity,timestamp,resource\nc1,a\n")
@@ -557,6 +601,16 @@ def test_report_missing_records_exits_2(tmp_path, capsys):
     code = main(["report", "--runs", str(empty), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "records.csv" in capsys.readouterr().err
+
+
+def test_report_on_empty_records_exits_2_and_leaves_no_folder(run_dirs, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dirs[0], run)
+    (run / "records.csv").write_bytes(b"")
+    out = tmp_path / "o"
+    assert main(["report", "--runs", str(run), "--out", str(out)]) == 2
+    assert "index" in assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_report_refuses_runs_that_share_a_label(run_dirs, tmp_path, capsys):

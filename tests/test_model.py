@@ -124,6 +124,16 @@ def test_model_size_validation():
         make_model(n_classes=0)
 
 
+def test_dense_weight_above_the_cap_is_refused_before_allocation():
+    # Fits at the smallest width (d_model = heads = 1: 3.2 GB), not at d_model 64 (13 TB);
+    # without the check only the 96 kB QKV weight and its bias get built before numpy refuses the dense one.
+    cfg = ModelConfig(max_len=20_000, heads=1, layers=1, general_layers=(), expert_layers=())
+    with pytest.raises(ConfigurationError, match="GiB"):
+        AttentionPredictor(cfg, input_width=64, n_classes=3, seed=0)
+    with pytest.raises(ConfigurationError, match="GiB"):
+        ModelConfig(max_len=30_000, heads=1)
+
+
 # -- forward ----------------------------------------------------------------------
 
 
@@ -222,10 +232,8 @@ def test_prompt_mode_extends_sequence_lengths():
 def test_attach_prefix_validation():
     keys = np.zeros((2, 4, 6))
     with pytest.raises(ValueError):
-        attach_prefix(np.zeros((2, 6)), np.zeros((3, 6)), keys, keys)
-    with pytest.raises(ValueError):
-        attach_prefix(np.zeros((2, 5)), np.zeros((2, 5)), keys, keys)
-    k, v = attach_prefix(np.ones((2, 6)), np.ones((2, 6)), keys, keys)
+        attach_prefix(np.zeros((2, 2, 5)), keys, keys)
+    k, v = attach_prefix(np.ones((2, 2, 6)), keys, keys)
     assert k.shape == (2, 6, 6) and v.shape == (2, 6, 6)
 
 
@@ -317,12 +325,12 @@ def test_growth_rejects_shrinking():
 def test_prompt_mode_growth_widens_first_layer_tokens():
     model = make_model(PROMPT_MODE, input_width=5, n_classes=4, general_layers=(0,), expert_layers=(1,))
     general, expert = make_prompts(model)
-    assert general.blocks[0].tokens.value.shape[1] == 5
-    deep_shape = expert.task_blocks[1].tokens.value.shape
+    assert general.blocks[0].value.shape[1] == 5
+    deep_shape = expert.task_blocks[1].value.shape
     grow_vocabulary(model, 7, 4, general=general, expert_sets=[expert])
-    assert general.blocks[0].tokens.value.shape[1] == 7
-    assert np.array_equal(general.blocks[0].tokens.value[:, 5:], np.zeros((model.cfg.prompt_len, 2)))
-    assert expert.task_blocks[1].tokens.value.shape == deep_shape  # deeper layers keep d_model width
+    assert general.blocks[0].value.shape[1] == 7
+    assert np.array_equal(general.blocks[0].value[:, 5:], np.zeros((model.cfg.prompt_len, 2)))
+    assert expert.task_blocks[1].value.shape == deep_shape  # deeper layers keep d_model width
 
 
 def test_did_growth_keep_internal_width():

@@ -11,7 +11,7 @@ from cnapwp.model import (
     init_general_prompt,
 )
 
-from gradcheck import block_parameters, gradient_errors, parameters, prompt_parameters, trainable_parameters
+from gradcheck import gradient_errors, parameters, prompt_parameters, trainable_parameters
 
 # Central differences with step 1e-5 carry ~1e-9 absolute noise, which turns
 # into ~1e-5 relative error on near-zero coordinates; 1e-4 keeps headroom.
@@ -94,9 +94,9 @@ def test_inactive_bucket_gets_no_gradient():
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
     grads = dict(model.backward(cache, targets))
-    for p in block_parameters(expert.bucket_blocks[2].values()):
+    for p in expert.bucket_blocks[2].values():
         assert p not in grads
-    active = block_parameters(expert.bucket_blocks[1].values())
+    active = expert.bucket_blocks[1].values()
     assert any(np.abs(grads[p]).max() > 0 for p in active)
 
 

@@ -188,6 +188,21 @@ def test_no_drift_info_reports_none(tmp_path):
     assert stream.drift_indices == ()
 
 
+def test_byte_order_mark_is_read_as_encoding(tmp_path, tiny_stream):
+    """A UTF-8 byte-order mark on the log or its sidecars changes nothing parsed."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for folder in (plain, marked):
+        folder.mkdir()
+        write_event_log(tiny_stream, folder / "s.csv")
+        write_drift_sidecar(tiny_stream, folder / "s.drifts")
+        write_task_sidecar(tiny_stream, folder / "s.tasks")
+    for name in ("s.csv", "s.drifts", "s.tasks"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    parsed = [parse_stream_with_sidecars(d / "s.csv", d / "s.drifts", d / "s.tasks") for d in (plain, marked)]
+    assert parsed[1] == parsed[0]
+    assert parsed[0][0].events == tiny_stream.events
+
+
 def test_task_sidecar_attaches_labels(tmp_path):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("case_id,activity,timestamp\nc,a,1\nc,b,2\n")
