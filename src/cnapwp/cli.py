@@ -38,6 +38,7 @@ from .stream import (
     generate_drift_stream,
     load_concept_pool,
     parse_stream_with_sidecars,
+    split_validation,
     write_drift_sidecar,
     write_event_log,
     write_task_sidecar,
@@ -70,14 +71,22 @@ def _coerce(key: str, text: str):
 
 
 def load_engine_config(ini_path: str | None, overrides: list[str]) -> EngineConfig:
-    """Defaults, then an optional [engine] ini section, then key=value overrides."""
+    """Defaults, then an optional [engine] section of a UTF-8 ini file, then key=value overrides."""
     known = {f.name for f in dataclasses.fields(EngineConfig)}
     values: dict = {}
     if ini_path:
-        parser = configparser.ConfigParser()
-        read = parser.read(ini_path)
-        if not read:
-            raise ConfigurationError(f"config file {ini_path} not found")
+        parser = configparser.ConfigParser(interpolation=None)  # a "%" in a value is a typo to report, not a reference
+        try:
+            with open(ini_path, encoding="utf-8-sig") as fh:
+                parser.read_file(fh)
+        except OSError:
+            raise ConfigurationError(f"config file {ini_path} not found") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"config file {ini_path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+            ) from None
+        except configparser.Error as exc:
+            raise ConfigurationError(f"config file {ini_path} is not an ini file: {str(exc).splitlines()[0]}") from None
         if not parser.has_section("engine"):
             raise ConfigurationError(f"config file {ini_path} has no [engine] section")
         for key, text in parser.items("engine"):
@@ -107,7 +116,7 @@ def write_engine_ini(config: EngineConfig, path: Path) -> None:
         else:
             text = str(value)
         parser.set("engine", f.name, text)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -160,15 +169,16 @@ def _load_stream(args):
 
     Returns the stream, its drift source and every file the command reads.
     """
+    for flag, path in (("--stream", args.stream), ("--drifts", args.drifts), ("--tasks", args.tasks)):
+        if path is not None and Path(path).is_dir():
+            raise ConfigurationError(f"{flag} {path} is a directory, not a file")
     base = Path(args.stream)
-    if base.is_dir():
-        raise ConfigurationError(f"--stream {args.stream} is a directory, not an event log CSV")
 
     def sidecar(flag: str | None, suffix: str):
         if flag is not None:
             return flag
         beside = base.with_suffix(suffix)
-        return beside if beside.exists() else None
+        return beside if beside.is_file() else None
 
     drifts, tasks = sidecar(args.drifts, ".drifts"), sidecar(args.tasks, ".tasks")
     stream, drift_source = parse_stream_with_sidecars(args.stream, drifts, tasks)
@@ -183,6 +193,14 @@ def _require_drift_info(strategy_name: str, drift_source: str | None) -> None:
             f"strategy {strategy_name!r} needs drift positions; provide a drift column, "
             f"a .drifts sidecar, or --drifts"
         )
+
+
+def _check_model_size(stream, config: EngineConfig, strategy) -> None:
+    """Refuse a dense weight over the cap at the width ``prepare`` will build:
+    the warm-up split's distinct activities plus the padding slot."""
+    warm, _ = split_validation(stream, config.validation_fraction)
+    model_cfg = config.model_config(strategy)
+    model_cfg.check_dense_weight(model_cfg.d_model(len({e.activity for e in warm.events}) + 1))
 
 
 def _resolve_strategy(name: str):
@@ -239,7 +257,7 @@ def cmd_gen(args) -> int:
             f"warning: {len(report.truncated_cases)} cases truncated at segment boundaries",
             file=sys.stderr,
         )
-    print(f"wrote {report.events_emitted} events over {len(order)} segments to {targets[0]}")
+    print(f"wrote {len(stream)} events over {len(order)} segments to {targets[0]}")
     return 0
 
 
@@ -251,6 +269,7 @@ def cmd_run(args) -> int:
     strategy = _resolve_strategy(args.strategy)
     stream, drift_source, inputs = _load_stream(args)
     _require_drift_info(strategy.name, drift_source)
+    _check_model_size(stream, config, strategy)
     outdir = _prepare_outdir(Path(args.out), args.force, inputs)
     _write_manifest(
         outdir,
@@ -294,6 +313,7 @@ def cmd_sweep(args) -> int:
     strategy = _resolve_strategy(args.strategy)
     stream, drift_source, inputs = _load_stream(args)
     _require_drift_info(strategy.name, drift_source)
+    _check_model_size(stream, base, strategy)  # the grid leaves the model's size alone
     windows = _parse_list(args.window, int, "--window")
     buffers = _parse_list(args.buffer, int, "--buffer")
     thresholds = _parse_list(args.threshold, float, "--threshold")
@@ -365,8 +385,9 @@ def cmd_ablate(args) -> int:
     configs = {seed: dataclasses.replace(base, seed=seed) for seed in seeds}  # validates each seed
     workers = worker_cap(args.workers)
     stream, drift_source, inputs = _load_stream(args)
-    for name, strategy in conditions.items():
+    for strategy in conditions.values():
         _require_drift_info(strategy.name, drift_source)
+        _check_model_size(stream, base, strategy)  # the seeds leave the model's size alone
     outdir = _prepare_outdir(Path(args.out), args.force, inputs)
     _write_manifest(
         outdir,

@@ -2,12 +2,13 @@
 
 Every arriving event is first a test (predict its activity from the case's
 in-window history), then training material (the encoded sample joins the
-sliding window). A full window triggers an update pass whose extent depends on
-the strategy: the window itself, everything since the run started, or
-everything since the last drift. Strategies with expert prompts additionally
-run task recognition: a signaled drift starts buffering, the buffered events
-are fingerprinted as a prefix tree, and the tree either re-activates a stored
-task or founds a new one with freshly initialized prompts.
+sliding window). Every ``window_size``-th event triggers an update pass whose
+extent depends on the strategy: the window itself, everything since the run
+started, or everything since the last drift. Strategies with expert prompts
+additionally run task recognition: a signaled drift starts buffering, the
+buffered events are fingerprinted as a prefix tree, and the tree either
+re-activates a stored task or founds a new one with freshly initialized
+prompts.
 
 The same engine instance serves the warm-up pass (records discarded) and the
 measured pass, so vocabulary, model, prompts, and task store carry over.
@@ -48,7 +49,7 @@ from .model import (
 )
 from .preprocessing import ActivityVocabulary, BucketConfig, EncodedSample, build_prefix, encode, fit_buckets
 from .stream import Event, EventStream, split_validation
-from .task_recognition import PrefixTree, TaskBuffer, TaskRecord, build_from_buffer, match_task
+from .task_recognition import PrefixTree, TaskRecord, build_from_buffer, match_task
 from .window import SlidingWindow, partition_batches
 
 log = logging.getLogger(__name__)
@@ -159,9 +160,8 @@ class OnlineEngine:
         self.model: AttentionPredictor | None = None
         self.general = None
         self.tasks: dict[int, TaskRecord] = {}
-        self.occurrences: dict[int, int] = {}
         self.active_task_id = 0
-        self.buffer: TaskBuffer | None = None
+        self.buffer: list[Event] | None = None  # the events since a drift signal, until resolved
         self.window = SlidingWindow(config.window_size)
         self.events_seen = 0
         self.segment_ordinal = 1
@@ -172,7 +172,8 @@ class OnlineEngine:
 
     def prepare(self, stream: EventStream) -> None:
         """Fit vocabulary and length buckets from a preliminary stream, then
-        build the backbone (and the shared prompt, when the strategy uses one)."""
+        build the backbone, the shared prompt and the first expert task (each
+        when the strategy uses one)."""
         histogram: Counter[int] = Counter()
         probe = SlidingWindow(self.config.window_size)
         for event in stream.events:
@@ -193,6 +194,8 @@ class OnlineEngine:
             self.general = init_general_prompt(
                 model_cfg, self.model.d_model, self.model.layer_widths, self.config.seed
             )
+        if self.strategy.use_expert:
+            self._create_task(PrefixTree())
         log.info(
             "prepared: vocab=%d buckets=%s d_model=%d",
             len(self.vocab),
@@ -217,19 +220,16 @@ class OnlineEngine:
         t0 = time.perf_counter_ns()
         cfg, strat = self.config, self.strategy
 
-        if strat.use_expert and not self.tasks:
-            self._create_task(PrefixTree())
-
         if is_drift:
             self.segment_ordinal += 1
             if strat.use_expert and self.buffer is None:
-                self.buffer = TaskBuffer(cfg.buffer_size)
+                self.buffer = []
             if strat.training_memory == SINCE_DRIFT_MEMORY:
                 self._memory.clear()
 
         buffering = self.buffer is not None
         if buffering:
-            self.buffer.add(event)
+            self.buffer.append(event)
 
         # Test: the case's in-window history is the prefix, this activity the target.
         prefix = build_prefix(event, self.window, self.vocab, cfg.max_len)
@@ -247,7 +247,7 @@ class OnlineEngine:
 
         # Fingerprinting: buffered events feed only the buffer; everything else
         # extends the active task's tree while it is under the cap.
-        if buffering and self.buffer.is_full:
+        if buffering and len(self.buffer) == cfg.buffer_size:
             self._resolve_buffer()
         elif strat.use_expert and not buffering:
             tree = self.tasks[self.active_task_id].tree
@@ -255,12 +255,12 @@ class OnlineEngine:
                 tree.extend_case(event.case_id, event.activity)
 
         # Train: the sample joins the window (and any longer memory) before the
-        # update check, so the signaling event trains too.
-        window_full = self.window.push(event, sample)
+        # update check, so the event that completes a window trains too.
+        self.window.push(event, sample)
         if strat.training_memory != WINDOW_MEMORY:
             self._memory.append(sample)
         self.events_seen += 1
-        if window_full:
+        if self.events_seen % cfg.window_size == 0:
             self._train()
         # Freeze after the update so the threshold event still trains in full.
         if strat.freeze_after is not None and not self.model.backbone_frozen and self.events_seen >= strat.freeze_after:
@@ -300,7 +300,6 @@ class OnlineEngine:
             task_id,
         )
         self.tasks[task_id] = TaskRecord(task_id, tree, prompts)
-        self.occurrences[task_id] = 1
         self.active_task_id = task_id
         log.info("created task %d (event %d)", task_id, self.events_seen)
         return task_id
@@ -311,22 +310,16 @@ class OnlineEngine:
         if matched is None:
             self._create_task(new_tree)
         else:
+            task = self.tasks[matched]
             if matched != self.active_task_id:
-                self.occurrences[matched] += 1
+                task.occurrences += 1
             self.active_task_id = matched
-            log.info(
-                "matched task %d, occurrence %d (event %d)",
-                matched,
-                self.occurrences[matched],
-                self.events_seen,
-            )
+            log.info("matched task %d, occurrence %d (event %d)", matched, task.occurrences, self.events_seen)
         self.buffer = None
 
     def _train(self) -> None:
         strat = self.strategy
         samples = self.window.samples() if strat.training_memory == WINDOW_MEMORY else self._memory
-        if not samples:
-            return
         if strat.reinit_on_update:
             self._reinit_model()
         batches = partition_batches(samples, self.config.batch_size)
@@ -354,7 +347,7 @@ class OnlineEngine:
             "tasks": [
                 {
                     "id": t.task_id,
-                    "occurrences": self.occurrences[t.task_id],
+                    "occurrences": t.occurrences,
                     "tree_events": t.tree.event_count,
                     "tree_nodes": t.tree.node_count(),
                     "tree": t.tree.to_dict(),

@@ -82,7 +82,7 @@ class ModelConfig:
         for layer in (*self.general_layers, *self.expert_layers):
             if not 0 <= layer < self.layers:
                 raise ConfigurationError(f"prompt layer {layer} outside [0, {self.layers})")
-        self.check_dense_weight(self.heads)  # the smallest model: d_model = heads
+        self.check_dense_weight(self.d_model(1))  # the smallest model
 
     @property
     def final_seq_len(self) -> int:
@@ -90,6 +90,10 @@ class ModelConfig:
         if self.prompt_mode == PREFIX_MODE:
             return self.max_len
         return self.max_len + sum(self.rows_attached_at(layer) for layer in range(self.layers))
+
+    def d_model(self, input_width: int) -> int:
+        """The attention width for a one-hot input width: the smallest multiple of ``heads`` covering it."""
+        return math.ceil(input_width / self.heads) * self.heads
 
     def check_dense_weight(self, d_model: int) -> None:
         """Refuse a dense weight of ``8 * (final_seq_len * d_model)**2`` bytes above MAX_DENSE_WEIGHT_BYTES."""
@@ -253,7 +257,7 @@ class AttentionPredictor:
         self.cfg = cfg
         self.input_width = input_width
         self.n_classes = n_classes
-        self.d_model = math.ceil(input_width / cfg.heads) * cfg.heads
+        self.d_model = cfg.d_model(input_width)
         self.d_head = self.d_model // cfg.heads
         self.final_seq_len = cfg.final_seq_len
         cfg.check_dense_weight(self.d_model)

@@ -79,22 +79,8 @@ class DriftSchedule:
             raise ConfigurationError("concept_order must not be empty")
 
 
-@dataclass(frozen=True)
-class LogSchema:
-    """Column-name map for event-log CSVs.
-
-    ``case``, ``activity`` and ``timestamp`` must exist in the header. The
-    resource and drift columns participate only when present.
-    """
-
-    case: str = "case_id"
-    activity: str = "activity"
-    timestamp: str = "timestamp"
-    resource: str = "resource"
-    drift: str = "drift"
-
-
-DEFAULT_SCHEMA = LogSchema()
+REQUIRED_COLUMNS = ("case_id", "activity", "timestamp")  # an event log's header must hold these
+LOG_COLUMNS = (*REQUIRED_COLUMNS, "resource", "drift")  # the last two are read when present
 
 
 @dataclass
@@ -102,7 +88,6 @@ class GenerationReport:
     """What the generator had to cut: cases truncated at segment boundaries."""
 
     truncated_cases: tuple[str, ...] = ()
-    events_emitted: int = 0
 
 
 def _parse_timestamp(text: str, line: int):
@@ -127,34 +112,30 @@ def _open_text(path: str | os.PathLike):
         raise StreamParseError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}") from None
 
 
-def parse_event_log(source: str | os.PathLike | IO[str], schema: LogSchema = DEFAULT_SCHEMA) -> EventStream:
+def parse_event_log(source: str | os.PathLike | IO[str]) -> EventStream:
     """Parse a CSV event log into an ordered EventStream.
 
     Events are stably ordered by timestamp (ties keep file order), then
     timestamps are dropped. Rows with an empty case id are dropped; an empty
-    activity or timestamp excludes the whole case. Columns outside the schema
-    are discarded.
+    activity or timestamp excludes the whole case. Columns outside
+    ``LOG_COLUMNS`` are discarded.
     """
     if hasattr(source, "read"):
-        return _parse_rows(csv.reader(source), schema)
+        return _parse_rows(csv.reader(source))
     with _open_text(source) as fh:
-        return _parse_rows(csv.reader(fh), schema)
+        return _parse_rows(csv.reader(fh))
 
 
-def _parse_rows(reader, schema: LogSchema) -> EventStream:
+def _parse_rows(reader) -> EventStream:
     try:
         header = next(reader)
     except StopIteration:
         raise StreamParseError("empty input, no header", 1) from None
     col = {name: i for i, name in enumerate(header)}
-    for required in (schema.case, schema.activity, schema.timestamp):
+    for required in REQUIRED_COLUMNS:
         if required not in col:
-            raise ConfigurationError(f"schema column {required!r} not found in header {header}")
-    i_case = col[schema.case]
-    i_act = col[schema.activity]
-    i_ts = col[schema.timestamp]
-    i_res = col.get(schema.resource)
-    i_drift = col.get(schema.drift)
+            raise ConfigurationError(f"column {required!r} not found in header {header}")
+    i_case, i_act, i_ts, i_res, i_drift = map(col.get, LOG_COLUMNS)
 
     rows: list[tuple[object, Event, bool]] = []  # (timestamp, event, drift flag)
     excluded: set[str] = set()
@@ -216,7 +197,6 @@ def parse_stream_with_sidecars(
     csv_path: str | os.PathLike,
     drifts_path: str | os.PathLike | None = None,
     tasks_path: str | os.PathLike | None = None,
-    schema: LogSchema = DEFAULT_SCHEMA,
 ) -> tuple[EventStream, str | None]:
     """Parse a log plus optional sidecars.
 
@@ -224,7 +204,7 @@ def parse_stream_with_sidecars(
     None when no drift information was provided at all. A sidecar overrides any
     drift column.
     """
-    stream = parse_event_log(csv_path, schema)
+    stream = parse_event_log(csv_path)
     source = "column" if stream.drift_indices else None
     if drifts_path is not None:
         drifts = load_drift_indices(drifts_path)
@@ -260,9 +240,9 @@ def write_task_sidecar(stream: EventStream, path: str | os.PathLike) -> None:
             fh.write(f"{label}\n")
 
 
-def load_concept_pool(csv_path: str | os.PathLike, schema: LogSchema = DEFAULT_SCHEMA) -> list[tuple[str, ...]]:
+def load_concept_pool(csv_path: str | os.PathLike) -> list[tuple[str, ...]]:
     """Load a concept pool CSV as a list of traces (activity sequences per case)."""
-    stream = parse_event_log(csv_path, schema)
+    stream = parse_event_log(csv_path)
     by_case: dict[str, list[str]] = {}
     for ev in stream.events:
         by_case.setdefault(ev.case_id, []).append(ev.activity)
@@ -324,7 +304,6 @@ def generate_drift_stream(
     drifts = tuple(schedule.segment_length * i for i in range(1, n_segments))
     if report is not None:
         report.truncated_cases = tuple(truncated)
-        report.events_emitted = len(events)
     return EventStream(tuple(events), drifts, tuple(schedule.concept_order))
 
 

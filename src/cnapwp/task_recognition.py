@@ -8,8 +8,8 @@ prompts) is reactivated, otherwise a new task is created.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError
 from .stream import Event
@@ -65,41 +65,20 @@ class PrefixTree:
 
 
 @dataclass
-class TaskBuffer:
-    """Fixed-capacity event buffer filled right after a drift signal."""
-
-    capacity: int
-    events: list[Event] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigurationError("buffer capacity must be >= 1")
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.events) >= self.capacity
-
-    def add(self, event: Event) -> None:
-        if self.is_full:
-            raise ConfigurationError("buffer already full")
-        self.events.append(event)
-
-
-@dataclass
 class TaskRecord:
-    """A recognized task: id, fingerprint tree, and its prompt parameters."""
+    """A recognized task: id, fingerprint tree, its prompt parameters, and how
+    often it has become the active task."""
 
     task_id: int
     tree: PrefixTree
     prompts: object | None = None
+    occurrences: int = 1
 
 
-def build_from_buffer(buffer: TaskBuffer) -> PrefixTree:
-    """Turn a full buffer into a prefix tree, one path per case in arrival order."""
-    if not buffer.is_full:
-        raise ConfigurationError("buffer must be full before building a tree")
+def build_from_buffer(events: Iterable[Event]) -> PrefixTree:
+    """Turn the buffered events into a prefix tree, one path per case in arrival order."""
     tree = PrefixTree()
-    for event in buffer.events:
+    for event in events:
         tree.extend_case(event.case_id, event.activity)
     return tree
 

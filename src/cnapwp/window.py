@@ -1,4 +1,4 @@
-"""FIFO sliding window over (event, sample) pairs with a periodic update signal."""
+"""FIFO sliding window over (event, sample) pairs, with per-case histories."""
 from __future__ import annotations
 
 from collections import deque
@@ -9,11 +9,7 @@ from .stream import Event
 
 
 class SlidingWindow:
-    """Keeps the newest ``capacity`` events and signals every ``capacity`` pushes.
-
-    Eviction and the update counter are independent: the signal fires on every
-    capacity-th push regardless of what was evicted, then the counter resets.
-    """
+    """Keeps the newest ``capacity`` events and each case's activities among them."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -21,12 +17,11 @@ class SlidingWindow:
         self.capacity = capacity
         self._buffer: deque[tuple[Event, EncodedSample | None]] = deque()
         self._by_case: dict[str, deque[str]] = {}
-        self._since_update = 0
 
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def push(self, event: Event, sample: EncodedSample | None = None) -> bool:
+    def push(self, event: Event, sample: EncodedSample | None = None) -> None:
         self._buffer.append((event, sample))
         self._by_case.setdefault(event.case_id, deque()).append(event.activity)
         if len(self._buffer) > self.capacity:
@@ -35,11 +30,6 @@ class SlidingWindow:
             case_hist.popleft()
             if not case_hist:
                 del self._by_case[old_event.case_id]
-        self._since_update += 1
-        if self._since_update >= self.capacity:
-            self._since_update = 0
-            return True
-        return False
 
     def activities_for_case(self, case_id: str) -> list[str]:
         """The case's activities currently in the window, oldest first."""

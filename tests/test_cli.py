@@ -230,6 +230,8 @@ def test_run_usage_errors_exit_2(gen_dir, tmp_path, capsys):
     no_section.write_text("[other]\na = 1\n")
     bad_key = tmp_path / "bad.ini"
     bad_key.write_text("[engine]\nnope = 1\n")
+    percent = tmp_path / "percent.ini"
+    percent.write_text("[engine]\nwindow_size = 4%0\n")
     taken = tmp_path / "taken"
     taken.mkdir()
     cases = [
@@ -241,6 +243,7 @@ def test_run_usage_errors_exit_2(gen_dir, tmp_path, capsys):
         ["run", "--stream", stream, "--out", out, "--config", str(tmp_path / "missing.ini")],
         ["run", "--stream", stream, "--out", out, "--config", str(no_section)],
         ["run", "--stream", stream, "--out", out, "--config", str(bad_key)],
+        ["run", "--stream", stream, "--out", out, "--config", str(percent)],
         ["run", "--stream", stream, "--out", str(taken), "--strategy", "no_prompt"],
     ]
     for argv in cases:
@@ -265,7 +268,8 @@ def assert_one_error_line(capsys):
     return err
 
 
-@pytest.mark.parametrize("setting", ["max_len=100000", "heads=100000"])
+# max_len=3000 fits the cap at d_model = heads but not at the warm-up vocabulary's width.
+@pytest.mark.parametrize("setting", ["max_len=100000", "heads=100000", "max_len=3000"])
 @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
 def test_impossible_model_size_exits_2_before_the_folder(gen_dir, tmp_path, capsys, command, setting):
     out = tmp_path / "out"
@@ -279,8 +283,10 @@ def test_impossible_model_size_exits_2_before_the_folder(gen_dir, tmp_path, caps
 def test_directory_as_stream_exits_2(gen_dir, tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(gen_dir)
     out = tmp_path / "out"
-    for stream in (".", str(tmp_path)):
-        assert main([command, "--stream", stream, "--out", str(out)] + FAST) == 2
+    stream = str(gen_dir / "stream.csv")
+    for flags in (["--stream", "."], ["--stream", str(tmp_path)],
+                  ["--stream", stream, "--drifts", "."], ["--stream", stream, "--tasks", str(tmp_path)]):
+        assert main([command, *flags, "--out", str(out)] + FAST) == 2, flags
         assert "is a directory" in assert_one_error_line(capsys)
         assert not out.exists()
 
@@ -401,6 +407,29 @@ def test_engine_ini_roundtrip(tmp_path):
     with_curve = dataclasses.replace(config, curve_window=77)
     write_engine_ini(with_curve, path)
     assert load_engine_config(str(path), []) == with_curve
+
+
+def test_ini_with_a_byte_order_mark_is_read_as_its_settings(tmp_path):
+    path = tmp_path / "engine.ini"
+    path.write_bytes(b"\xef\xbb\xbf[engine]\nwindow_size = 40\nthreshold = 0.35\n")
+    assert load_engine_config(str(path), []) == EngineConfig(window_size=40, threshold=0.35)
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b"[engine]\nwindow_size = 40\n# caf\xff\n", "not UTF-8"),
+     (b"window_size = 40\n", "no section headers"),
+     (b"[engine]\nepochs = 1\nepochs = 2\n", "already exists")],
+    ids=["byte-ff", "no-header", "repeated-key"],
+)
+def test_unreadable_ini_exits_2_naming_the_file(gen_dir, tmp_path, capsys, content, problem):
+    path = tmp_path / "engine.ini"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", "--stream", str(gen_dir / "stream.csv"), "--config", str(path), "--out", str(out)]) == 2
+    err = assert_one_error_line(capsys)
+    assert str(path) in err and problem in err
+    assert not out.exists()
 
 
 def test_overrides_beat_ini(tmp_path):

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnapwp.baselines import CNAPWP, LANDMARK, LAST_DRIFT, NO_PROMPT
+from cnapwp import engine as engine_module
+from cnapwp.baselines import CNAPWP, LANDMARK, LAST_DRIFT, NO_PROMPT, STRATEGIES
 from cnapwp.engine import (
     EngineConfig,
     OnlineEngine,
@@ -17,9 +20,10 @@ from cnapwp.errors import ConfigurationError
 from cnapwp.model import PREFIX_MODE, PROMPT_MODE, AttentionPredictor
 from cnapwp.preprocessing import BucketConfig
 from cnapwp.stream import Event, EventStream
-from cnapwp.task_recognition import PrefixTree
+from cnapwp.task_recognition import PrefixTree, build_from_buffer
 
 from gradcheck import parameters
+from oracles import root_paths, tree_of
 
 
 def concept_stream():
@@ -67,8 +71,88 @@ def test_disjoint_segment_founds_a_new_task(recognized):
 
 def test_recurring_segment_reactivates_with_an_occurrence(recognized):
     engine, _ = recognized
-    assert engine.occurrences == {1: 2, 2: 1}
+    assert {k: task.occurrences for k, task in engine.tasks.items()} == {1: 2, 2: 1}
     assert engine.active_task_id == 1
+
+
+def test_prepare_creates_the_first_expert_task():
+    stream = concept_stream()
+    engine = OnlineEngine(recognition_config(), CNAPWP)
+    engine.prepare(stream)
+    assert list(engine.tasks) == [1] and engine.active_task_id == 1
+    assert engine.tasks[1].tree.is_empty and engine.tasks[1].occurrences == 1
+    promptless = OnlineEngine(recognition_config(), NO_PROMPT)
+    promptless.prepare(stream)
+    assert promptless.tasks == {}
+
+
+def test_buffer_resolves_on_its_buffer_size_th_event(monkeypatch):
+    stream = concept_stream()  # drift at 10 into a segment over x and y
+    engine = OnlineEngine(recognition_config(buffer_size=4), CNAPWP)
+    engine.prepare(stream)
+    built = []
+
+    def spy(events):
+        tree = build_from_buffer(events)
+        built.append((list(events), tree))
+        return tree
+
+    monkeypatch.setattr(engine_module, "build_from_buffer", spy)
+    for i, event in enumerate(stream.events[:14]):
+        assert not built
+        engine.process_event(event, i, is_drift=i == 10)
+        if i < 13:
+            assert engine.buffer == (list(stream.events[10 : i + 1]) if i >= 10 else None)
+    [(events, tree)] = built
+    assert events == list(stream.events[10:14])
+    assert engine.buffer is None
+    assert root_paths(tree) == root_paths(tree_of("xyxy"))
+    assert engine.tasks[2].tree is tree and tree.event_count == 4  # founds task 2, not yet extended
+
+
+def _log_updates(monkeypatch, engine):
+    """Replace the update pass with one that logs the engine's ``events_seen`` and checks it got samples."""
+    seen = []
+
+    def fake_train_window(model, batches, *args, **kwargs):
+        assert batches
+        seen.append(engine.events_seen)
+
+    monkeypatch.setattr(engine_module, "train_window", fake_train_window)
+    return seen
+
+
+def test_update_runs_on_every_window_size_th_event(monkeypatch):
+    engine = OnlineEngine(recognition_config(window_size=3), CNAPWP)
+    seen = _log_updates(monkeypatch, engine)
+    engine.prepare(chain_stream(7))
+    engine.consume(chain_stream(7), record=False)
+    assert seen == [3, 6]
+    engine.consume(chain_stream(8))  # the count runs on across the warm-up and measured passes
+    assert seen == [3, 6, 9, 12, 15]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    window_size=st.integers(min_value=1, max_value=10),
+    n_warm=st.integers(min_value=0, max_value=30),
+    n_measured=st.integers(min_value=0, max_value=30),
+    drift_at=st.integers(min_value=1, max_value=30),
+    name=st.sampled_from(sorted(STRATEGIES)),
+)
+def test_update_cadence_property(window_size, n_warm, n_measured, drift_at, name):
+    engine = OnlineEngine(recognition_config(window_size=window_size), STRATEGIES[name])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = _log_updates(monkeypatch, engine)
+        warm = chain_stream(n_warm)
+        measured = chain_stream(n_measured, case="d")
+        if drift_at < n_measured:
+            measured = EventStream(measured.events, (drift_at,))
+        engine.prepare(warm)
+        engine.consume(warm, record=False)
+        engine.consume(measured)
+    assert len(seen) == (n_warm + n_measured) // window_size
+    assert all(n % window_size == 0 for n in seen)
 
 
 def test_task_id_switches_only_after_resolution(recognized):

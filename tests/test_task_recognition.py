@@ -7,7 +7,6 @@ from cnapwp.errors import ConfigurationError
 from cnapwp.stream import Event
 from cnapwp.task_recognition import (
     PrefixTree,
-    TaskBuffer,
     TaskRecord,
     build_from_buffer,
     dissimilarity,
@@ -105,35 +104,11 @@ def test_dissimilarity_matches_path_set_oracle(new_paths, stored_paths):
     assert dissimilarity(new, stored) == path_set_dissimilarity(new, stored)
 
 
-# -- buffers ---------------------------------------------------------------------
-
-
-def test_buffer_fills_and_rejects_overflow():
-    buffer = TaskBuffer(2)
-    assert not buffer.is_full
-    buffer.add(Event("c", "a"))
-    buffer.add(Event("c", "b"))
-    assert buffer.is_full
-    with pytest.raises(ConfigurationError):
-        buffer.add(Event("c", "c"))
-
-
-def test_buffer_capacity_validation():
-    with pytest.raises(ConfigurationError):
-        TaskBuffer(0)
-
-
-def test_build_from_buffer_requires_full():
-    buffer = TaskBuffer(3)
-    buffer.add(Event("c", "a"))
-    with pytest.raises(ConfigurationError):
-        build_from_buffer(buffer)
+# -- buffered events -------------------------------------------------------------
 
 
 def test_build_from_buffer_groups_by_case():
-    buffer = TaskBuffer(5)
-    for case, act in [("c1", "a"), ("c2", "x"), ("c1", "b"), ("c2", "y"), ("c1", "c")]:
-        buffer.add(Event(case, act))
+    buffer = [Event(case, act) for case, act in [("c1", "a"), ("c2", "x"), ("c1", "b"), ("c2", "y"), ("c1", "c")]]
     tree = build_from_buffer(buffer)
     assert root_paths(tree) == root_paths(tree_of("abc", "xy"))
 

@@ -1,4 +1,4 @@
-"""Sliding-window eviction, update cadence, and batch partitioning."""
+"""Sliding-window eviction and batch partitioning."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,21 +15,6 @@ def test_window_keeps_newest_capacity_events():
         window.push(Event("c", str(i)))
     assert len(window) == 3
     assert window.activities_for_case("c") == ["2", "3", "4"]
-
-
-def test_window_signals_every_capacity_pushes():
-    window = SlidingWindow(3)
-    signals = [window.push(Event("c", str(i))) for i in range(9)]
-    fired = [i for i, full in enumerate(signals) if full is True]
-    assert fired == [2, 5, 8]
-
-
-def test_eviction_does_not_reset_the_counter():
-    window = SlidingWindow(4)
-    for i in range(6):  # two evictions happen before the second signal
-        window.push(Event("c", str(i)))
-    assert window.push(Event("c", "x")) is False
-    assert window.push(Event("c", "y")) is True
 
 
 def test_per_case_history_tracks_eviction():
@@ -62,11 +47,12 @@ def test_window_capacity_validation():
 
 @settings(max_examples=50, deadline=None)
 @given(capacity=st.integers(min_value=1, max_value=10), n=st.integers(min_value=0, max_value=60))
-def test_signal_cadence_property(capacity, n):
+def test_window_holds_the_newest_events_property(capacity, n):
     window = SlidingWindow(capacity)
-    count = sum(1 for i in range(n) if window.push(Event("c", str(i))) is True)
-    assert count == n // capacity
+    for i in range(n):
+        window.push(Event("c", str(i)))
     assert len(window) == min(n, capacity)
+    assert window.activities_for_case("c") == [str(i) for i in range(max(0, n - capacity), n)]
 
 
 # -- partitioning ---------------------------------------------------------------
