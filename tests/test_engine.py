@@ -4,11 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cnapwp import engine as engine_module
-from cnapwp.baselines import CNAPWP, LANDMARK, LAST_DRIFT, NO_PROMPT, STRATEGIES
+from cnapwp.baselines import CNAPWP, LANDMARK, LAST_DRIFT, NO_PROMPT
 from cnapwp.engine import (
     EngineConfig,
     OnlineEngine,
@@ -110,7 +108,7 @@ def test_buffer_resolves_on_its_buffer_size_th_event(monkeypatch):
     assert engine.tasks[2].tree is tree and tree.event_count == 4  # founds task 2, not yet extended
 
 
-def _log_updates(monkeypatch, engine):
+def log_updates(monkeypatch, engine):
     """Replace the update pass with one that logs the engine's ``events_seen`` and checks it got samples."""
     seen = []
 
@@ -124,35 +122,12 @@ def _log_updates(monkeypatch, engine):
 
 def test_update_runs_on_every_window_size_th_event(monkeypatch):
     engine = OnlineEngine(recognition_config(window_size=3), CNAPWP)
-    seen = _log_updates(monkeypatch, engine)
+    seen = log_updates(monkeypatch, engine)
     engine.prepare(chain_stream(7))
     engine.consume(chain_stream(7), record=False)
     assert seen == [3, 6]
     engine.consume(chain_stream(8))  # the count runs on across the warm-up and measured passes
     assert seen == [3, 6, 9, 12, 15]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    window_size=st.integers(min_value=1, max_value=10),
-    n_warm=st.integers(min_value=0, max_value=30),
-    n_measured=st.integers(min_value=0, max_value=30),
-    drift_at=st.integers(min_value=1, max_value=30),
-    name=st.sampled_from(sorted(STRATEGIES)),
-)
-def test_update_cadence_property(window_size, n_warm, n_measured, drift_at, name):
-    engine = OnlineEngine(recognition_config(window_size=window_size), STRATEGIES[name])
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        seen = _log_updates(monkeypatch, engine)
-        warm = chain_stream(n_warm)
-        measured = chain_stream(n_measured, case="d")
-        if drift_at < n_measured:
-            measured = EventStream(measured.events, (drift_at,))
-        engine.prepare(warm)
-        engine.consume(warm, record=False)
-        engine.consume(measured)
-    assert len(seen) == (n_warm + n_measured) // window_size
-    assert all(n % window_size == 0 for n in seen)
 
 
 def test_task_id_switches_only_after_resolution(recognized):

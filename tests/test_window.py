@@ -1,12 +1,16 @@
-"""Sliding-window eviction and batch partitioning."""
+"""Sliding-window eviction, update cadence, and batch partitioning."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnapwp.baselines import CNAPWP, STRATEGIES
+from cnapwp.engine import OnlineEngine
 from cnapwp.errors import ConfigurationError
 from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, Prefix, build_prefix, encode
-from cnapwp.stream import Event
+from cnapwp.stream import Event, EventStream
 from cnapwp.window import SlidingWindow, partition_batches
+
+from test_engine import chain_stream, log_updates, recognition_config
 
 
 def test_window_keeps_newest_capacity_events():
@@ -15,6 +19,20 @@ def test_window_keeps_newest_capacity_events():
         window.push(Event("c", str(i)))
     assert len(window) == 3
     assert window.activities_for_case("c") == ["2", "3", "4"]
+
+
+def test_eviction_does_not_reset_the_counter(monkeypatch):
+    stream = chain_stream(8)
+    engine = OnlineEngine(recognition_config(window_size=4), CNAPWP)
+    seen = log_updates(monkeypatch, engine)
+    engine.prepare(stream)
+    for i, event in enumerate(stream.events[:6]):  # two evictions happen before the second update
+        engine.process_event(event, i, is_drift=False)
+    assert len(engine.window) == 4 and seen == [4]
+    engine.process_event(stream.events[6], 6, is_drift=False)
+    assert seen == [4]
+    engine.process_event(stream.events[7], 7, is_drift=False)
+    assert seen == [4, 8]
 
 
 def test_per_case_history_tracks_eviction():
@@ -53,6 +71,31 @@ def test_window_holds_the_newest_events_property(capacity, n):
         window.push(Event("c", str(i)))
     assert len(window) == min(n, capacity)
     assert window.activities_for_case("c") == [str(i) for i in range(max(0, n - capacity), n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    window_size=st.integers(min_value=1, max_value=10),
+    n_warm=st.integers(min_value=0, max_value=30),
+    n_measured=st.integers(min_value=0, max_value=30),
+    drift_at=st.integers(min_value=1, max_value=30),
+    name=st.sampled_from(sorted(STRATEGIES)),
+)
+def test_signal_cadence_property(window_size, n_warm, n_measured, drift_at, name):
+    """The engine updates on every ``window_size``-th event, counted across warm-up and measured passes."""
+    engine = OnlineEngine(recognition_config(window_size=window_size), STRATEGIES[name])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = log_updates(monkeypatch, engine)
+        warm = chain_stream(n_warm)
+        measured = chain_stream(n_measured, case="d")
+        if drift_at < n_measured:
+            measured = EventStream(measured.events, (drift_at,))
+        engine.prepare(warm)
+        engine.consume(warm, record=False)
+        engine.consume(measured)
+    assert len(seen) == (n_warm + n_measured) // window_size
+    assert all(n % window_size == 0 for n in seen)
+    assert len(engine.window) == min(n_warm + n_measured, window_size)
 
 
 # -- partitioning ---------------------------------------------------------------
