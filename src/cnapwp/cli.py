@@ -218,12 +218,15 @@ def cmd_gen(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     builtin = builtin_processes()
-    pools = {}
+    specs = []
     for spec in args.pool:
         if "=" not in spec:
             raise ConfigurationError(f"--pool {spec!r} is not name=path.csv")
-        name, path = spec.split("=", 1)
-        pools[name.strip()] = load_concept_pool(path.strip())
+        name, path = (part.strip() for part in spec.split("=", 1))
+        if Path(path).is_dir():
+            raise ConfigurationError(f"--pool {name}={path} is a directory, not a file")
+        specs.append((name, path))
+    pools = {name: load_concept_pool(path) for name, path in specs}
     names = [n.strip() for n in args.concepts.split(",") if n.strip()]
     if not names:
         raise ConfigurationError("--concepts must name at least one concept")
@@ -481,6 +484,18 @@ def _read_summary(path: Path) -> dict:
     raise StreamParseError(f"bad summary {path}: {problem}")
 
 
+def _check_segments(path: Path, summary: dict, n_records: int) -> None:
+    """Refuse drift indices and task labels that do not cut ``n_records`` records into segments."""
+    drifts = summary.get("drift_indices") or []
+    labels = summary.get("task_labels")
+    if drifts and any(a >= b for a, b in itertools.pairwise([0, *drifts, n_records])):
+        raise ConfigurationError(f"{path}: drift_indices {drifts} are not increasing inside (0, {n_records})")
+    if labels and len(labels) != len(drifts) + 1:
+        raise ConfigurationError(
+            f"{path}: {len(labels)} task_labels for {len(drifts)} drift_indices; need {len(drifts) + 1}"
+        )
+
+
 def cmd_report(args) -> int:
     run_dirs = [Path(d) for d in args.runs]
     runs = {}  # heatmap file name -> (run folder, label, summary, records)
@@ -489,6 +504,7 @@ def cmd_report(args) -> int:
             raise ConfigurationError(f"{d} has no records.csv")
         records = read_records_csv(d / "records.csv")
         summary = _read_summary(d / "summary.json")
+        _check_segments(d / "summary.json", summary, len(records))
         strategy = summary.get("strategy", d.name)
         label = f"{strategy}:{d.name}" if len(run_dirs) > 1 else strategy
         heatmap = "forgetting_" + label.replace("/", "_").replace(":", "_") + ".svg"

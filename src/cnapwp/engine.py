@@ -42,9 +42,9 @@ from .model import (
     PREFIX_MODE,
     AttentionPredictor,
     ModelConfig,
+    PromptSet,
     grow_vocabulary,
-    init_expert_prompts,
-    init_general_prompt,
+    init_prompts,
     train_window,
 )
 from .preprocessing import ActivityVocabulary, BucketConfig, EncodedSample, build_prefix, encode, fit_buckets
@@ -141,11 +141,9 @@ class EngineConfig:
             layers=self.layers,
             dropout=self.dropout,
             prompt_len=self.prompt_len,
-            general_layers=self.general_layers,
-            expert_layers=self.expert_layers,
+            general_layers=self.general_layers if strategy.use_general else (),
+            expert_layers=self.expert_layers if strategy.use_expert else (),
             prompt_mode=self.prompt_mode,
-            use_general=strategy.use_general,
-            use_expert=strategy.use_expert,
         )
 
 
@@ -158,7 +156,7 @@ class OnlineEngine:
         self.vocab = ActivityVocabulary()
         self.bucket_config: BucketConfig | None = None
         self.model: AttentionPredictor | None = None
-        self.general = None
+        self.general: PromptSet | None = None  # without general layers, a set with no blocks
         self.tasks: dict[int, TaskRecord] = {}
         self.active_task_id = 0
         self.buffer: list[Event] | None = None  # the events since a drift signal, until resolved
@@ -172,8 +170,8 @@ class OnlineEngine:
 
     def prepare(self, stream: EventStream) -> None:
         """Fit vocabulary and length buckets from a preliminary stream, then
-        build the backbone, the shared prompt and the first expert task (each
-        when the strategy uses one)."""
+        build the backbone, the shared prompt (with no blocks when the strategy
+        has none) and, with expert prompts, the first task."""
         histogram: Counter[int] = Counter()
         probe = SlidingWindow(self.config.window_size)
         for event in stream.events:
@@ -190,10 +188,7 @@ class OnlineEngine:
         self.model = AttentionPredictor(
             model_cfg, self.vocab.width, max(1, len(self.vocab)), self.config.seed
         )
-        if self.strategy.use_general:
-            self.general = init_general_prompt(
-                model_cfg, self.model.d_model, self.model.layer_widths, self.config.seed
-            )
+        self.general = init_prompts(self.model, model_cfg.general_layers, (), [self.config.seed, 101], "general")
         if self.strategy.use_expert:
             self._create_task(PrefixTree())
         log.info(
@@ -281,23 +276,17 @@ class OnlineEngine:
     # -- internals ---------------------------------------------------------------
 
     def _grow(self) -> None:
-        grow_vocabulary(
-            self.model,
-            self.vocab.width,
-            len(self.vocab),
-            general=self.general,
-            expert_sets=[t.prompts for t in self.tasks.values()],
-        )
+        prompts = [self.general, *(t.prompts for t in self.tasks.values())]
+        grow_vocabulary(self.model, self.vocab.width, len(self.vocab), prompts)
 
     def _create_task(self, tree: PrefixTree) -> int:
         task_id = max(self.tasks, default=0) + 1
-        prompts = init_expert_prompts(
-            self.model.cfg,
+        prompts = init_prompts(
+            self.model,
+            self.model.cfg.expert_layers,
             self.bucket_config.bucket_ids,
-            self.model.d_model,
-            self.model.layer_widths,
-            self.config.seed,
-            task_id,
+            [self.config.seed, 211, task_id],
+            f"task{task_id}",
         )
         self.tasks[task_id] = TaskRecord(task_id, tree, prompts)
         self.active_task_id = task_id

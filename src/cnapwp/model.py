@@ -53,9 +53,9 @@ class Parameter:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Backbone and prompt layout. ``use_general``/``use_expert`` declare which
-    prompt kinds this model instance will ever see, which fixes the dense head
-    size in prompt mode."""
+    """Backbone and prompt layout. ``general_layers``/``expert_layers`` name the
+    layers each prompt kind attaches at, ``()`` for a kind this model instance
+    never sees; in prompt mode they fix the dense head size."""
 
     max_len: int
     heads: int = 4
@@ -65,8 +65,6 @@ class ModelConfig:
     general_layers: tuple[int, ...] = (0,)
     expert_layers: tuple[int, ...] = (1,)
     prompt_mode: str = PREFIX_MODE
-    use_general: bool = True
-    use_expert: bool = True
 
     def __post_init__(self):
         if self.max_len < 1:
@@ -105,68 +103,43 @@ class ModelConfig:
             )
 
     def rows_attached_at(self, layer: int) -> int:
-        """Prompt rows contributed at a layer given the declared prompt kinds."""
-        rows = 0
-        if self.use_general and layer in self.general_layers:
-            rows += self.prompt_len
-        if self.use_expert and layer in self.expert_layers:
-            rows += 2 * self.prompt_len
-        return rows
+        """Prompt rows attached at a layer: the general prompt's block, the expert's task and bucket blocks."""
+        return self.prompt_len * ((layer in self.general_layers) + 2 * (layer in self.expert_layers))
 
 
-class GeneralPrompt:
-    """Task-invariant prompt blocks, keyed by layer."""
+class PromptSet:
+    """Prompt blocks keyed by (layer, bucket). Bucket ``None`` holds the block
+    every sample uses; a bucket id's block attaches only to that bucket's
+    samples. The general prompt has no buckets (``bucket_ids`` is empty), an
+    expert task's prompt one per prefix-length bucket."""
 
-    def __init__(self, blocks: dict[int, Parameter]):
+    def __init__(self, blocks: dict[tuple[int, int | None], Parameter], bucket_ids: tuple[int, ...]):
         self.blocks = blocks
+        self.bucket_ids = bucket_ids
 
 
-class ExpertPromptSet:
-    """One task's prompt parameters: a task block plus one block per bucket, per layer."""
+def init_prompts(
+    model: AttentionPredictor, layers: Sequence[int], bucket_ids: Sequence[int], rng_key: Sequence[int], name: str
+) -> PromptSet:
+    """Fresh blocks, i.i.d. uniform [-0.1, 0.1] from ``default_rng(rng_key)``: the
+    shared blocks by ascending layer, then each bucket's, named ``{name}.l{layer}``
+    and ``{name}.b{bucket}.l{layer}``.
 
-    def __init__(self, task_blocks: dict[int, Parameter], bucket_blocks: dict[int, dict[int, Parameter]]):
-        self.task_blocks = task_blocks
-        self.bucket_blocks = bucket_blocks
-
-
-def _make_block(cfg: ModelConfig, d_model: int, layer_width: int, rng: np.random.Generator, name: str) -> Parameter:
-    """One layer's prompt block: in prefix mode (2, prompt_len, d_model), key rows
-    then value rows; in prompt mode (prompt_len, layer_width) token rows."""
-    shape = (2, cfg.prompt_len, d_model) if cfg.prompt_mode == PREFIX_MODE else (cfg.prompt_len, layer_width)
-    return Parameter(rng.uniform(-0.1, 0.1, shape), name)
-
-
-def init_general_prompt(cfg: ModelConfig, d_model: int, layer_widths: Sequence[int], seed: int) -> GeneralPrompt:
-    rng = np.random.default_rng([seed, 101])
-    blocks = {
-        layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"general.l{layer}")
-        for layer in sorted(cfg.general_layers)
-    }
-    return GeneralPrompt(blocks)
-
-
-def init_expert_prompts(
-    cfg: ModelConfig,
-    bucket_ids: Sequence[int],
-    d_model: int,
-    layer_widths: Sequence[int],
-    seed: int,
-    task_id: int,
-) -> ExpertPromptSet:
-    """Fresh expert blocks, i.i.d. uniform [-0.1, 0.1], deterministic per (seed, task_id)."""
-    rng = np.random.default_rng([seed, 211, task_id])
-    task_blocks = {
-        layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"task{task_id}.l{layer}")
-        for layer in sorted(cfg.expert_layers)
-    }
-    bucket_blocks = {
-        bucket: {
-            layer: _make_block(cfg, d_model, layer_widths[layer], rng, f"task{task_id}.b{bucket}.l{layer}")
-            for layer in sorted(cfg.expert_layers)
-        }
-        for bucket in bucket_ids
-    }
-    return ExpertPromptSet(task_blocks, bucket_blocks)
+    In prefix mode a block is (2, prompt_len, d_model), key rows then value rows;
+    in prompt mode (prompt_len, layer width) token rows.
+    """
+    cfg = model.cfg
+    rng = np.random.default_rng(rng_key)
+    blocks = {}
+    for bucket in (None, *bucket_ids):
+        prefix = name if bucket is None else f"{name}.b{bucket}"
+        for layer in sorted(layers):
+            if cfg.prompt_mode == PREFIX_MODE:
+                shape = (2, cfg.prompt_len, model.d_model)
+            else:
+                shape = (cfg.prompt_len, model.layer_widths[layer])
+            blocks[layer, bucket] = Parameter(rng.uniform(-0.1, 0.1, shape), f"{prefix}.l{layer}")
+    return PromptSet(blocks, tuple(bucket_ids))
 
 
 @dataclass(slots=True)
@@ -286,25 +259,28 @@ class AttentionPredictor:
 
     # -- forward / backward ------------------------------------------------
 
-    def _gather_sources(self, layer: int, general, expert, bucket_id) -> list[Parameter]:
-        cfg = self.cfg
+    def _gather_sources(
+        self, layer: int, general: PromptSet | None, expert: PromptSet | None, bucket_id: int | None
+    ) -> list[Parameter]:
+        """The blocks attached at ``layer``: general, then expert, each its shared block then its bucket's."""
         sources: list[Parameter] = []
-        if cfg.use_general and general is not None and layer in cfg.general_layers and cfg.prompt_len > 0:
-            sources.append(general.blocks[layer])
-        if cfg.use_expert and expert is not None and layer in cfg.expert_layers and cfg.prompt_len > 0:
-            if bucket_id is None:
-                raise ConfigurationError("expert prompts need a bucket id")
-            if bucket_id not in expert.bucket_blocks:
-                raise ConfigurationError(f"no bucket {bucket_id} in expert prompt set")
-            sources.append(expert.task_blocks[layer])
-            sources.append(expert.bucket_blocks[bucket_id][layer])
+        if self.cfg.prompt_len == 0:
+            return sources
+        for prompts, layers in ((general, self.cfg.general_layers), (expert, self.cfg.expert_layers)):
+            if prompts is None or layer not in layers:
+                continue
+            sources.append(prompts.blocks[layer, None])
+            if prompts.bucket_ids:
+                if bucket_id not in prompts.bucket_ids:
+                    raise ConfigurationError(f"expert prompts need a bucket in {prompts.bucket_ids}, got {bucket_id}")
+                sources.append(prompts.blocks[layer, bucket_id])
         return sources
 
     def forward(
         self,
         x: np.ndarray,
-        general: GeneralPrompt | None = None,
-        expert: ExpertPromptSet | None = None,
+        general: PromptSet | None = None,
+        expert: PromptSet | None = None,
         bucket_id: int | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
@@ -479,8 +455,8 @@ class AttentionPredictor:
     def predict(
         self,
         sample: EncodedSample,
-        general: GeneralPrompt | None = None,
-        expert: ExpertPromptSet | None = None,
+        general: PromptSet | None = None,
+        expert: PromptSet | None = None,
     ) -> tuple[np.ndarray, int]:
         """Evaluate one sample; returns (read-only probabilities, predicted ordinal index).
 
@@ -520,13 +496,9 @@ class AttentionPredictor:
 
 
 def grow_vocabulary(
-    model: AttentionPredictor,
-    input_width: int,
-    n_classes: int,
-    general: GeneralPrompt | None = None,
-    expert_sets: Iterable[ExpertPromptSet] = (),
+    model: AttentionPredictor, input_width: int, n_classes: int, prompts: Iterable[PromptSet] = ()
 ) -> None:
-    """Zero-extend the model (and any prompt-mode first-layer token blocks) for a larger vocabulary.
+    """Zero-extend the model (and the prompt-mode first-layer token blocks of ``prompts``) for a larger vocabulary.
 
     On indices interned under the old vocabulary the zero extensions cancel, so
     previous logits survive up to float roundoff (the widened contraction axis
@@ -536,11 +508,10 @@ def grow_vocabulary(
     model.grow(input_width, n_classes)
     grown = model.input_width - old_width
     if grown and model.cfg.prompt_mode == PROMPT_MODE:
-        by_layer = [general.blocks] if general is not None else []
-        for expert in expert_sets:
-            by_layer += [expert.task_blocks, *expert.bucket_blocks.values()]
-        for block in (blocks[0] for blocks in by_layer if 0 in blocks):
-            block.value = np.concatenate((block.value, np.zeros((block.value.shape[0], grown))), axis=1)
+        for prompt_set in prompts:
+            for (layer, _), block in prompt_set.blocks.items():
+                if layer == 0:
+                    block.value = np.concatenate((block.value, np.zeros((block.value.shape[0], grown))), axis=1)
 
 
 # -- loss and optimization --------------------------------------------------
@@ -582,8 +553,8 @@ def train_window(
     batches: Sequence[tuple[int, Sequence[Sequence[EncodedSample]]]],
     epochs: int,
     lr: float,
-    general: GeneralPrompt | None = None,
-    expert: ExpertPromptSet | None = None,
+    general: PromptSet | None = None,
+    expert: PromptSet | None = None,
     rng: np.random.Generator | None = None,
 ) -> None:
     """SGD over bucketed batches: backbone, general and task prompts learn on every

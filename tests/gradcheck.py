@@ -29,14 +29,15 @@ def parameters(model):
 
 
 def prompt_parameters(general=None, expert=None, bucket_id=None):
-    """The general blocks, then the expert's task blocks, then its bucket blocks:
+    """The general blocks, then the expert's shared blocks, then its bucket blocks:
     every bucket's, or only ``bucket_id``'s when given."""
-    blocks = list(general.blocks.values()) if general is not None else []
-    if expert is not None:
-        blocks.extend(expert.task_blocks.values())
-        buckets = expert.bucket_blocks.values() if bucket_id is None else [expert.bucket_blocks[bucket_id]]
-        blocks.extend(block for per_layer in buckets for block in per_layer.values())
-    return blocks
+    return [
+        block
+        for prompts in (general, expert)
+        if prompts is not None
+        for (_, bucket), block in prompts.blocks.items()
+        if bucket_id is None or bucket in (None, bucket_id)
+    ]
 
 
 def trainable_parameters(model, general=None, expert=None, bucket_id=None):

@@ -5,7 +5,8 @@ use numpy's own short-axis reductions, fresh temporaries and one stack per
 epoch. ``test_model_bit_identity`` runs them beside ``cnapwp.model`` and
 requires byte-identical parameters, so the faster code there cannot drift in
 rounding. They take the model as an argument, read its parameters and prompt
-layout, and change nothing but the ``.value`` of parameters. ``backward``
+layout, pick each layer's prompt blocks themselves (``prompt_sources``), and
+change nothing but the ``.value`` of parameters. ``backward``
 returns its gradients as a dict from parameter to array, each accumulated from
 zeros, and ``sgd_step`` takes that dict. It reads ``model.backbone_frozen``
 but always backpropagates through every layer, so the model's early return
@@ -34,6 +35,23 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def prompt_sources(model, layer, general, expert, bucket_id):
+    """The blocks attached at ``layer``, picked from the configured layers: the
+    general block, then the expert's task block, then its bucket's block."""
+    cfg = model.cfg
+    sources = []
+    if cfg.prompt_len == 0:
+        return sources
+    if general is not None and layer in cfg.general_layers:
+        sources.append(general.blocks[layer, None])
+    if expert is not None and layer in cfg.expert_layers:
+        if bucket_id not in expert.bucket_ids:
+            raise ConfigurationError(f"no bucket {bucket_id} in the expert prompt")
+        sources.append(expert.blocks[layer, None])
+        sources.append(expert.blocks[layer, bucket_id])
+    return sources
+
+
 def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rng=None, want_cache=True):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.cfg.max_len:
@@ -49,7 +67,7 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
 
     h = x
     for layer in range(cfg.layers):
-        sources = model._gather_sources(layer, general, expert, bucket_id)
+        sources = prompt_sources(model, layer, general, expert, bucket_id)
         prepended = 0
         if cfg.prompt_mode == PROMPT_MODE and sources:
             tokens = np.concatenate([src.value for src in sources], axis=0)

@@ -21,8 +21,7 @@ from cnapwp.model import (
     PROMPT_MODE,
     AttentionPredictor,
     ModelConfig,
-    init_expert_prompts,
-    init_general_prompt,
+    init_prompts,
     train_window,
 )
 from cnapwp.preprocessing import EncodedSample
@@ -117,8 +116,8 @@ def test_01_gradients_match_finite_differences():
         )
         n_classes = max(2, width - 1)
         model = AttentionPredictor(cfg, width, n_classes, seed=int(rng.integers(1, 10_000)))
-        general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed=3)
-        expert = init_expert_prompts(cfg, (1, 2), model.d_model, model.layer_widths, seed=4, task_id=1)
+        general = init_prompts(model, cfg.general_layers, (), [3, 101], "general")
+        expert = init_prompts(model, cfg.expert_layers, (1, 2), [4, 211, 1], "task1")
         batch = int(rng.integers(2, 4))
         x = rng.uniform(0.0, 1.0, (batch, max_len, width))
         targets = rng.integers(1, n_classes + 1, batch)
@@ -138,8 +137,8 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
         general_layers=(0,), expert_layers=(1,), prompt_mode=PREFIX_MODE,
     )
     model = AttentionPredictor(cfg, 4, 3, seed=9)
-    general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed=9)
-    expert = init_expert_prompts(cfg, (1, 2, 3), model.d_model, model.layer_widths, seed=9, task_id=1)
+    general = init_prompts(model, cfg.general_layers, (), [9, 101], "general")
+    expert = init_prompts(model, cfg.expert_layers, (1, 2, 3), [9, 211, 1], "task1")
     rng = np.random.default_rng(5)
     chunk = []
     for _ in range(6):
@@ -147,7 +146,7 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
         chunk.append(EncodedSample(activities=activities, target=int(rng.integers(1, 4)), bucket=2))
 
     def bucket_values(bucket_id):
-        return [p.value.copy() for p in expert.bucket_blocks[bucket_id].values()]
+        return [p.value.copy() for (_, bucket), p in expert.blocks.items() if bucket == bucket_id]
 
     before = {b: bucket_values(b) for b in (1, 2, 3)}
     train_window(model, [(2, [chunk])], epochs=1, lr=0.1, general=general, expert=expert)
@@ -173,16 +172,16 @@ def test_03_prefix_mode_keeps_output_length():
     for prompt_len in (0, 1, 5, 16):
         cfg = ModelConfig(prompt_len=prompt_len, **base)
         model = AttentionPredictor(cfg, 5, 4, seed=11)
-        general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed=1)
-        expert = init_expert_prompts(cfg, (1, 2), model.d_model, model.layer_widths, seed=2, task_id=1)
+        general = init_prompts(model, cfg.general_layers, (), [1, 101], "general")
+        expert = init_prompts(model, cfg.expert_layers, (1, 2), [2, 211, 1], "task1")
         _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
         lengths_ok &= [entry["qh"].shape[2] for entry in cache.layers] == [4, 4]
         lengths_ok &= model.final_seq_len == 4
 
     cfg0 = ModelConfig(prompt_len=0, **base)
     model = AttentionPredictor(cfg0, 5, 4, seed=11)
-    general = init_general_prompt(cfg0, model.d_model, model.layer_widths, seed=1)
-    expert = init_expert_prompts(cfg0, (1, 2), model.d_model, model.layer_widths, seed=2, task_id=1)
+    general = init_prompts(model, cfg0.general_layers, (), [1, 101], "general")
+    expert = init_prompts(model, cfg0.expert_layers, (1, 2), [2, 211, 1], "task1")
     with_prompts, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
     without, _ = model.forward(x, want_cache=False)
     zero_exact = np.array_equal(with_prompts, without)

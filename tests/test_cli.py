@@ -128,6 +128,20 @@ def test_gen_bad_pool_spec_exits_2(tmp_path, capsys):
     assert "name=path.csv" in capsys.readouterr().err
 
 
+def test_gen_directory_as_pool_exits_2_before_reading_any_pool(tmp_path, capsys):
+    not_utf8 = tmp_path / "bad.csv"
+    not_utf8.write_bytes(b"case_id,activity,timestamp\n\xff\n")  # reading it would exit 3
+    pools = tmp_path / "pools"
+    pools.mkdir()
+    code = main(["gen", "--out", str(tmp_path / "s"), "--concepts", "a,b",
+                 "--pool", f"a={not_utf8}", "--pool", f"b={pools}"])
+    assert code == 2
+    err = assert_one_error_line(capsys)
+    assert "--pool" in err and "is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "pools"]
+    assert not any(pools.iterdir())
+
+
 def test_gen_external_pool(tmp_path):
     pool_csv = tmp_path / "pool.csv"
     write_pool_csv(pool_csv, [("u", "v", "w")] * 3)
@@ -715,6 +729,31 @@ def test_report_malformed_run_exits_cleanly(run_dirs, tmp_path, capsys, name, ed
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "drifts, labels",
+    [
+        ([200, 30], ["A", "B", "A"]),
+        ([9000, 9500], ["A", "B", "A"]),
+        ([-5, 30], ["A", "B", "A"]),
+        ([30, 30], ["A", "B", "A"]),
+        ([0], None),
+        ([64], None),
+        ([10, 30], ["A", "B"]),
+    ],
+    ids=["decreasing", "past-the-end", "negative", "repeated", "at-zero", "at-the-end", "a-label-short"],
+)
+def test_report_refuses_drifts_that_do_not_cut_the_records(run_dirs, tmp_path, capsys, drifts, labels):
+    run = tmp_path / "run"
+    shutil.copytree(run_dirs[0], run)
+    assert len(read_records_csv(run / "records.csv")) == 64
+    summary = run / "summary.json"
+    summary.write_text(edit_summary(summary.read_text(), drift_indices=drifts, task_labels=labels))
+    out = tmp_path / "o"
+    assert main(["report", "--runs", str(run), "--out", str(out)]) == 2
+    assert str(summary) in assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 # -- parser -----------------------------------------------------------------------

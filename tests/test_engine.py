@@ -84,6 +84,39 @@ def test_prepare_creates_the_first_expert_task():
     assert promptless.tasks == {}
 
 
+@pytest.mark.parametrize("mode", [PREFIX_MODE, PROMPT_MODE])
+def test_prompt_blocks_are_the_seeded_draws_in_order(mode):
+    """The general blocks are default_rng([seed, 101])'s draws by ascending layer;
+    a task's are default_rng([seed, 211, task_id])'s: its task blocks by ascending
+    layer, then each bucket's. Records depend on this order."""
+    stream = concept_stream()
+    config = recognition_config(prompt_mode=mode, prompt_len=2, general_layers=(1, 0), expert_layers=(1, 0))
+    engine = OnlineEngine(config, CNAPWP)
+    engine.prepare(stream)
+    engine.consume(stream)  # founds task 2 at event 13; 30 events run no update pass
+    assert set(engine.tasks) == {1, 2}
+    model, seed = engine.model, config.seed
+
+    def draws(key, named_layers):
+        rng = np.random.default_rng(key)
+        if mode == PREFIX_MODE:
+            return [(name, rng.uniform(-0.1, 0.1, (2, 2, model.d_model))) for name, _ in named_layers]
+        widths = (model.input_width, model.d_model)
+        return [(name, rng.uniform(-0.1, 0.1, (2, widths[layer]))) for name, layer in named_layers]
+
+    expected = {"general": draws([seed, 101], [("general.l0", 0), ("general.l1", 1)])}
+    built = {"general": engine.general}
+    for t, task in engine.tasks.items():
+        named = [(f"task{t}.l{layer}", layer) for layer in (0, 1)]
+        named += [(f"task{t}.b{b}.l{layer}", layer) for b in engine.bucket_config.bucket_ids for layer in (0, 1)]
+        expected[t] = draws([seed, 211, t], named)
+        built[t] = task.prompts
+    for key, prompts in built.items():
+        got = list(prompts.blocks.values())
+        assert [p.name for p in got] == [name for name, _ in expected[key]]
+        assert all(np.array_equal(p.value, value) for p, (_, value) in zip(got, expected[key]))
+
+
 def test_buffer_resolves_on_its_buffer_size_th_event(monkeypatch):
     stream = concept_stream()  # drift at 10 into a segment over x and y
     engine = OnlineEngine(recognition_config(buffer_size=4), CNAPWP)

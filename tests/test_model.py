@@ -15,8 +15,7 @@ from cnapwp.model import (
     ModelConfig,
     attach_prefix,
     grow_vocabulary,
-    init_expert_prompts,
-    init_general_prompt,
+    init_prompts,
     mean_cross_entropy,
     one_hot,
     softmax,
@@ -39,8 +38,8 @@ def make_model(mode=PREFIX_MODE, input_width=5, n_classes=4, seed=11, **cfg_kwar
 
 
 def make_prompts(model, seed=11, bucket_ids=(1, 2)):
-    general = init_general_prompt(model.cfg, model.d_model, model.layer_widths, seed)
-    expert = init_expert_prompts(model.cfg, bucket_ids, model.d_model, model.layer_widths, seed, task_id=1)
+    general = init_prompts(model, model.cfg.general_layers, (), [seed, 101], "general")
+    expert = init_prompts(model, model.cfg.expert_layers, bucket_ids, [seed, 211, 1], "task1")
     return general, expert
 
 
@@ -260,8 +259,8 @@ def test_prompt_init_is_bounded_and_seeded():
 
 def test_expert_prompts_differ_by_task():
     model = make_model()
-    e1 = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=1)
-    e2 = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=2)
+    e1 = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 1], "task1")
+    e2 = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 2], "task2")
     p1 = prompt_parameters(expert=e1)
     p2 = prompt_parameters(expert=e2)
     assert len(p1) == len(p2)
@@ -296,7 +295,7 @@ def test_growth_preserves_old_logits():
     sample = _encode_under(vocab, ["a", "b"], "c")
     before = _logits_for(model, sample, general, expert)
     vocab.intern("d")
-    grow_vocabulary(model, vocab.width, len(vocab), general=general, expert_sets=[expert])
+    grow_vocabulary(model, vocab.width, len(vocab), [general, expert])
     after = _logits_for(model, sample, general, expert)
     assert model.input_width == 5 and model.n_classes == 4
     # the zero extensions cancel mathematically; BLAS may regroup the sums
@@ -325,12 +324,12 @@ def test_growth_rejects_shrinking():
 def test_prompt_mode_growth_widens_first_layer_tokens():
     model = make_model(PROMPT_MODE, input_width=5, n_classes=4, general_layers=(0,), expert_layers=(1,))
     general, expert = make_prompts(model)
-    assert general.blocks[0].value.shape[1] == 5
-    deep_shape = expert.task_blocks[1].value.shape
-    grow_vocabulary(model, 7, 4, general=general, expert_sets=[expert])
-    assert general.blocks[0].value.shape[1] == 7
-    assert np.array_equal(general.blocks[0].value[:, 5:], np.zeros((model.cfg.prompt_len, 2)))
-    assert expert.task_blocks[1].value.shape == deep_shape  # deeper layers keep d_model width
+    assert general.blocks[0, None].value.shape[1] == 5
+    deep_shape = expert.blocks[1, None].value.shape
+    grow_vocabulary(model, 7, 4, [general, expert])
+    assert general.blocks[0, None].value.shape[1] == 7
+    assert np.array_equal(general.blocks[0, None].value[:, 5:], np.zeros((model.cfg.prompt_len, 2)))
+    assert expert.blocks[1, None].value.shape == deep_shape  # deeper layers keep d_model width
 
 
 def test_did_growth_keep_internal_width():
@@ -449,8 +448,8 @@ def test_a_different_expert_set_or_bucket_misses():
     _, model, general, expert, sample = _cached_setup()
     first = model.predict(sample, general, expert)
     # An equal-valued but distinct prompt set is another key: prompts go in by identity.
-    twin = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=1)
-    other = init_expert_prompts(model.cfg, (1, 2), model.d_model, model.layer_widths, 11, task_id=2)
+    twin = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 1], "task1")
+    other = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 2], "task2")
     other_bucket = dataclasses.replace(sample, bucket=3 - sample.bucket)
     for args in ((sample, general, twin), (sample, general, other), (other_bucket, general, expert)):
         probs, _ = model.predict(*args)
@@ -473,7 +472,7 @@ def test_grow_vocabulary_clears_the_prediction_cache():
     vocab, model, general, expert, sample = _cached_setup()
     model.predict(sample, general, expert)
     vocab.intern("d")
-    grow_vocabulary(model, vocab.width, len(vocab), general=general, expert_sets=[expert])
+    grow_vocabulary(model, vocab.width, len(vocab), [general, expert])
     assert not model._predictions
     probs, _ = model.predict(sample, general, expert)
     assert probs.shape == (len(vocab),)

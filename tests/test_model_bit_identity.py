@@ -21,8 +21,7 @@ from cnapwp.model import (
     AttentionPredictor,
     ModelConfig,
     grow_vocabulary,
-    init_expert_prompts,
-    init_general_prompt,
+    init_prompts,
     one_hot,
     row_max,
     softmax,
@@ -44,8 +43,8 @@ def build(mode, general_layers, prompt_len=1, dropout=0.1, input_width=12, seed=
         general_layers=general_layers, expert_layers=(1,), prompt_mode=mode,
     )
     model = AttentionPredictor(cfg, input_width, input_width - 1, seed)
-    general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed)
-    expert = init_expert_prompts(cfg, (1, 2), model.d_model, model.layer_widths, seed, task_id=1)
+    general = init_prompts(model, cfg.general_layers, (), [seed, 101], "general")
+    expert = init_prompts(model, cfg.expert_layers, (1, 2), [seed, 211, 1], "task1")
     return model, general, expert
 
 
@@ -112,7 +111,7 @@ def test_grown_vocabulary_matches_the_reference(layout):
     model, general, expert = setup = build(*layout, input_width=10)
     rng = np.random.default_rng(4)
     old = two_buckets(model, rng, sizes=((BATCH,), (5,)))
-    grow_vocabulary(model, 14, 13, general=general, expert_sets=[expert])
+    grow_vocabulary(model, 14, 13, [general, expert])
     new = two_buckets(model, rng, sizes=((BATCH,), (BATCH,)))
     batches = [(bucket, old_chunks + new_chunks) for (bucket, old_chunks), (_, new_chunks) in zip(old, new)]
     assert_same_update(setup, batches)
@@ -132,7 +131,7 @@ def test_qkv_weight_gradient_is_the_einsum_contraction(layout, case, monkeypatch
     # The GEMM on the (batch * t, width) reshape regroups the einsum's sums, nothing more.
     setup = build(*layout, input_width=10)  # the samples below hold indices below 10
     if case == "grown-vocabulary":
-        grow_vocabulary(setup[0], 14, 13, general=setup[1], expert_sets=[setup[2]])
+        grow_vocabulary(setup[0], 14, 13, [setup[1], setup[2]])
     chunk = samples(np.random.default_rng(5), 1 if case == "batch-of-one" else BATCH, 10, setup[0].n_classes)
     x = one_hot([s.activities for s in chunk], setup[0].input_width)
     targets = np.array([s.target for s in chunk])

@@ -7,8 +7,7 @@ from cnapwp.model import (
     PROMPT_MODE,
     AttentionPredictor,
     ModelConfig,
-    init_expert_prompts,
-    init_general_prompt,
+    init_prompts,
 )
 
 from gradcheck import gradient_errors, parameters, prompt_parameters, trainable_parameters
@@ -24,9 +23,13 @@ def build(mode, input_width=5, n_classes=4, seed=7, **cfg_kwargs):
     defaults.update(cfg_kwargs)
     cfg = ModelConfig(**defaults)
     model = AttentionPredictor(cfg, input_width, n_classes, seed)
-    general = init_general_prompt(cfg, model.d_model, model.layer_widths, seed)
-    expert = init_expert_prompts(cfg, (1, 2), model.d_model, model.layer_widths, seed, task_id=1)
+    general = init_prompts(model, cfg.general_layers, (), [seed, 101], "general")
+    expert = init_prompts(model, cfg.expert_layers, (1, 2), [seed, 211, 1], "task1")
     return model, general, expert
+
+
+def bucket_blocks(expert, bucket_id):
+    return [block for (_, bucket), block in expert.blocks.items() if bucket == bucket_id]
 
 
 def batch_for(model, seed=3, batch=3):
@@ -55,7 +58,7 @@ def test_prompt_mode_gradients_sampled():
 
 
 def test_promptless_gradients_every_coordinate():
-    model, _, _ = build(PREFIX_MODE, use_general=False, use_expert=False)
+    model, _, _ = build(PREFIX_MODE, general_layers=(), expert_layers=())
     x, targets = batch_for(model, seed=9)
     errors = gradient_errors(model, x, targets)
     assert max(errors) < TOL
@@ -94,9 +97,9 @@ def test_inactive_bucket_gets_no_gradient():
     x, targets = batch_for(model)
     _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
     grads = dict(model.backward(cache, targets))
-    for p in expert.bucket_blocks[2].values():
+    for p in bucket_blocks(expert, 2):
         assert p not in grads
-    active = expert.bucket_blocks[1].values()
+    active = bucket_blocks(expert, 1)
     assert any(np.abs(grads[p]).max() > 0 for p in active)
 
 
