@@ -461,7 +461,7 @@ def _read_summary(path: Path) -> dict:
     if not path.exists():
         return {}
     try:
-        summary = json.loads(path.read_text())
+        summary = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or bytes that are not text
         raise StreamParseError(f"bad summary {path}: {exc}") from None
     if not isinstance(summary, dict):

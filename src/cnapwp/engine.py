@@ -184,11 +184,8 @@ class OnlineEngine:
         else:
             log.warning("empty preparation stream, using a single length bucket")
             self.bucket_config = BucketConfig((self.config.max_len,))
-        model_cfg = self.config.model_config(self.strategy)
-        self.model = AttentionPredictor(
-            model_cfg, self.vocab.width, max(1, len(self.vocab)), self.config.seed
-        )
-        self.general = init_prompts(self.model, model_cfg.general_layers, (), [self.config.seed, 101], "general")
+        self._build_model()
+        self.general = init_prompts(self.model, self.model.cfg.general_layers, (), [self.config.seed, 101], "general")
         if self.strategy.use_expert:
             self._create_task(PrefixTree())
         log.info(
@@ -231,13 +228,8 @@ class OnlineEngine:
         sample = encode(prefix, event.activity, self.vocab, self.bucket_config)
         if self.vocab.width > self.model.input_width:
             self._grow()
-        if strat.use_expert:
-            task_at_prediction = self.active_task_id
-            expert = self.tasks[self.active_task_id].prompts
-        else:
-            task_at_prediction = self.segment_ordinal
-            expert = None
-        _, y_hat_ord = self.model.predict(sample, general=self.general, expert=expert)
+        task_at_prediction = self.active_task_id if strat.use_expert else self.segment_ordinal
+        _, y_hat_ord = self.model.predict(sample, self._prompts())
         correct = y_hat_ord == sample.target
 
         # Fingerprinting: buffered events feed only the buffer; everything else
@@ -275,6 +267,17 @@ class OnlineEngine:
 
     # -- internals ---------------------------------------------------------------
 
+    def _build_model(self) -> None:
+        """A fresh backbone from the seed, sized for the current vocabulary."""
+        model_cfg = self.config.model_config(self.strategy)
+        self.model = AttentionPredictor(model_cfg, self.vocab.width, max(1, len(self.vocab)), self.config.seed)
+
+    def _prompts(self) -> tuple[PromptSet, ...]:
+        """The active prompt sets in attachment order: the shared set, then the active task's."""
+        if self.strategy.use_expert:
+            return self.general, self.tasks[self.active_task_id].prompts
+        return (self.general,)
+
     def _grow(self) -> None:
         prompts = [self.general, *(t.prompts for t in self.tasks.values())]
         grow_vocabulary(self.model, self.vocab.width, len(self.vocab), prompts)
@@ -310,23 +313,9 @@ class OnlineEngine:
         strat = self.strategy
         samples = self.window.samples() if strat.training_memory == WINDOW_MEMORY else self._memory
         if strat.reinit_on_update:
-            self._reinit_model()
+            self._build_model()
         batches = partition_batches(samples, self.config.batch_size)
-        expert = self.tasks[self.active_task_id].prompts if strat.use_expert else None
-        train_window(
-            self.model,
-            batches,
-            self.config.epochs,
-            self.config.lr,
-            general=self.general,
-            expert=expert,
-            rng=self._dropout_rng,
-        )
-
-    def _reinit_model(self) -> None:
-        self.model = AttentionPredictor(
-            self.model.cfg, self.vocab.width, max(1, len(self.vocab)), self.config.seed
-        )
+        train_window(self.model, batches, self.config.epochs, self.config.lr, self._prompts(), self._dropout_rng)
 
     # -- introspection --------------------------------------------------------
 

@@ -199,7 +199,7 @@ def latency_percentiles(latencies_ns: Iterable[int]) -> dict[str, float]:
 
 
 def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for r in records:
@@ -209,7 +209,7 @@ def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLi
 
 
 def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "latency_ns"))
         for r in records:
@@ -219,7 +219,7 @@ def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLi
 def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
     """Read a records.csv back. A missing column raises ConfigurationError; a
     short row or a non-integer field raises StreamParseError with its line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         line_no = 1
         try:
@@ -253,7 +253,7 @@ def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
 
 
 def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("task", "occurrence", "delta", "accuracy_first", "accuracy_this"))
         for task in matrix.tasks:
@@ -271,7 +271,7 @@ def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike) -> N
 
 
 def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "accuracy"))
         for i, acc in enumerate(curve):
@@ -282,6 +282,6 @@ def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike) -> None
 
 
 def write_json(obj, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

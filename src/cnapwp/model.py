@@ -24,7 +24,7 @@ classes a logit of exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,10 +147,10 @@ class ForwardCache:
     """Everything the backward pass needs from one forward pass."""
 
     batch_size: int
-    layers: list[dict] = field(default_factory=list)
-    flat: np.ndarray | None = None
-    dense_out: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    layers: list[dict]
+    flat: np.ndarray
+    dense_out: np.ndarray
+    probs: np.ndarray
 
 
 # From about this many rows on, a running maximum over the columns of a short
@@ -248,7 +248,7 @@ class AttentionPredictor:
         self.cls_w = Parameter(_fan_uniform(rng, head_width, n_classes), "classifier.w")
         self.cls_b = Parameter(np.zeros(n_classes), "classifier.b")
         self.backbone_frozen = False
-        # predict() results by (general, expert, bucket, activity indices); valid only
+        # predict() results by (prompt sets, bucket, activity indices); valid only
         # while no parameter changes, so train_window and grow clear it.
         self._predictions: dict[tuple, tuple[np.ndarray, int]] = {}
 
@@ -259,34 +259,34 @@ class AttentionPredictor:
 
     # -- forward / backward ------------------------------------------------
 
-    def _gather_sources(
-        self, layer: int, general: PromptSet | None, expert: PromptSet | None, bucket_id: int | None
-    ) -> list[Parameter]:
-        """The blocks attached at ``layer``: general, then expert, each its shared block then its bucket's."""
+    def _gather_sources(self, layer: int, prompts: Sequence[PromptSet], bucket_id: int | None) -> list[Parameter]:
+        """The blocks attached at ``layer``: for each set in order, its shared block there, then its bucket's."""
         sources: list[Parameter] = []
         if self.cfg.prompt_len == 0:
             return sources
-        for prompts, layers in ((general, self.cfg.general_layers), (expert, self.cfg.expert_layers)):
-            if prompts is None or layer not in layers:
+        for prompt_set in prompts:
+            shared = prompt_set.blocks.get((layer, None))
+            if shared is None:
                 continue
-            sources.append(prompts.blocks[layer, None])
-            if prompts.bucket_ids:
-                if bucket_id not in prompts.bucket_ids:
-                    raise ConfigurationError(f"expert prompts need a bucket in {prompts.bucket_ids}, got {bucket_id}")
-                sources.append(prompts.blocks[layer, bucket_id])
+            sources.append(shared)
+            if prompt_set.bucket_ids:
+                if bucket_id not in prompt_set.bucket_ids:
+                    raise ConfigurationError(f"the prompts need a bucket in {prompt_set.bucket_ids}, got {bucket_id}")
+                sources.append(prompt_set.blocks[layer, bucket_id])
         return sources
 
     def forward(
         self,
         x: np.ndarray,
-        general: PromptSet | None = None,
-        expert: PromptSet | None = None,
+        prompts: Sequence[PromptSet] = (),
         bucket_id: int | None = None,
-        train: bool = False,
         rng: np.random.Generator | None = None,
-        want_cache: bool = True,
-    ) -> tuple[np.ndarray, ForwardCache | None]:
-        """Run a batch [B, max_len, input_width] to class probabilities."""
+    ) -> tuple[np.ndarray, ForwardCache]:
+        """Run a batch [B, max_len, input_width] to class probabilities.
+
+        ``prompts`` are the active sets in attachment order: the shared set, then
+        the task's. Given an ``rng``, the pass trains: it draws dropout masks.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != (self.cfg.max_len, self.input_width):
             raise ConfigurationError(
@@ -295,15 +295,12 @@ class AttentionPredictor:
         batch = x.shape[0]
         cfg = self.cfg
         scale = 1.0 / math.sqrt(self.d_head)
-        use_dropout = train and cfg.dropout > 0.0
-        if use_dropout and rng is None:
-            raise ConfigurationError("training with dropout needs an rng")
+        use_dropout = rng is not None and cfg.dropout > 0.0
 
-        cache = ForwardCache(batch) if want_cache else None
-
+        layers = []
         h = x
         for layer in range(cfg.layers):
-            sources = self._gather_sources(layer, general, expert, bucket_id)
+            sources = self._gather_sources(layer, prompts, bucket_id)
             rows = np.concatenate([src.value for src in sources], axis=-2) if sources else None
             prepended = 0
             if cfg.prompt_mode == PROMPT_MODE and sources:
@@ -337,20 +334,19 @@ class AttentionPredictor:
                 mask = rng.random(out.shape) >= cfg.dropout
                 out *= mask
                 out /= 1.0 - cfg.dropout
-            if cache is not None:
-                cache.layers.append(
-                    {
-                        "h_in": h,
-                        "qh": qh,
-                        "kh": kh,
-                        "vh": vh,
-                        "attn": attn,
-                        "mask": mask,
-                        "sources": sources,
-                        "prepended": prepended,
-                        "prompt_rows": t_k - t_q,
-                    }
-                )
+            layers.append(
+                {
+                    "h_in": h,
+                    "qh": qh,
+                    "kh": kh,
+                    "vh": vh,
+                    "attn": attn,
+                    "mask": mask,
+                    "sources": sources,
+                    "prepended": prepended,
+                    "prompt_rows": t_k - t_q,
+                }
+            )
             h = out
 
         flat = h.reshape(batch, -1)
@@ -361,11 +357,7 @@ class AttentionPredictor:
         probs = softmax(logits)
         if not np.isfinite(probs).all():
             raise NumericError("non-finite probabilities in the classifier head")
-        if cache is not None:
-            cache.flat = flat
-            cache.dense_out = dense_out
-            cache.probs = probs
-        return probs, cache
+        return probs, ForwardCache(batch, layers, flat, dense_out, probs)
 
     def backward(self, cache: ForwardCache, targets: np.ndarray) -> list[tuple[Parameter, np.ndarray]]:
         """Gradients of the mean cross-entropy: one (parameter, gradient) pair per
@@ -452,24 +444,20 @@ class AttentionPredictor:
                 dh = dh[:, entry["prepended"] :]
         return grads
 
-    def predict(
-        self,
-        sample: EncodedSample,
-        general: PromptSet | None = None,
-        expert: PromptSet | None = None,
-    ) -> tuple[np.ndarray, int]:
+    def predict(self, sample: EncodedSample, prompts: tuple[PromptSet, ...] = ()) -> tuple[np.ndarray, int]:
         """Evaluate one sample; returns (read-only probabilities, predicted ordinal index).
 
         Argmax ties resolve to the lowest class index. A repeated prefix, under
-        the same prompt objects and bucket, is answered from the cache: without
-        training, ``forward`` is a pure function of the parameters and these.
-        The prompts are held in the key, so their ids cannot be reused.
+        the same prompt objects in the same order and bucket, is answered from
+        the cache: without an rng, ``forward`` is a pure function of the
+        parameters and these. The key holds the sets themselves, compared by
+        identity: a fresh tuple of the same sets hits, and their ids cannot be reused.
         """
-        key = (general, expert, sample.bucket, sample.activities)
+        key = (prompts, sample.bucket, sample.activities)
         hit = self._predictions.get(key)
         if hit is None:
             x = one_hot((sample.activities,), self.input_width)
-            probs, _ = self.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
+            probs, _ = self.forward(x, prompts, sample.bucket)
             probs = probs[0]
             probs.flags.writeable = False
             hit = self._predictions[key] = (probs, int(np.argmax(probs)) + 1)
@@ -553,13 +541,13 @@ def train_window(
     batches: Sequence[tuple[int, Sequence[Sequence[EncodedSample]]]],
     epochs: int,
     lr: float,
-    general: PromptSet | None = None,
-    expert: PromptSet | None = None,
-    rng: np.random.Generator | None = None,
+    prompts: Sequence[PromptSet],
+    rng: np.random.Generator,
 ) -> None:
-    """SGD over bucketed batches: backbone, general and task prompts learn on every
-    batch; a bucket's prompt learns only on its own batches. Every call clears
-    the model's prediction cache, which bounds it to one window of entries."""
+    """SGD over bucketed batches, drawing dropout masks from ``rng``: the backbone
+    and each set's shared blocks learn on every batch; a bucket's blocks learn
+    only on its own batches. Every call clears the model's prediction cache,
+    which bounds it to one window of entries."""
     model._predictions.clear()
     if not batches or epochs < 1:
         return
@@ -568,8 +556,6 @@ def train_window(
     for _ in range(epochs):
         for bucket_id, stacked in plan:
             for x, targets in stacked:
-                _, cache = model.forward(
-                    x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng
-                )
+                _, cache = model.forward(x, prompts, bucket_id, rng)
                 sgd_step(model.backward(cache, targets), lr)
 

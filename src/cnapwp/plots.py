@@ -72,7 +72,7 @@ def accuracy_curve_svg(
         parts.append(f'<line x1="{left + 10}" y1="{ly - 4}" x2="{left + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{left + 40}" y="{ly}" font-size="12" {FONT}>{_esc(name)}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -130,5 +130,5 @@ def forgetting_heatmap_svg(
                     f'font-size="12" {FONT}>{label}</text>'
                 )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

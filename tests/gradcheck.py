@@ -9,17 +9,9 @@ import numpy as np
 from cnapwp.model import mean_cross_entropy
 
 
-def _loss(model, x, targets, general, expert, bucket_id, rng_factory):
+def _loss(model, x, targets, prompts, bucket_id, rng_factory):
     rng = rng_factory() if rng_factory is not None else None
-    probs, _ = model.forward(
-        x,
-        general=general,
-        expert=expert,
-        bucket_id=bucket_id,
-        train=rng is not None,
-        rng=rng,
-        want_cache=False,
-    )
+    probs, _ = model.forward(x, prompts, bucket_id, rng)
     return mean_cross_entropy(probs, targets)
 
 
@@ -28,31 +20,29 @@ def parameters(model):
     return [*(p for pair in model.layers_qkv for p in pair), model.dense_w, model.dense_b, model.cls_w, model.cls_b]
 
 
-def prompt_parameters(general=None, expert=None, bucket_id=None):
-    """The general blocks, then the expert's shared blocks, then its bucket blocks:
-    every bucket's, or only ``bucket_id``'s when given."""
+def prompt_parameters(prompts=(), bucket_id=None):
+    """Each set's blocks in creation order, the sets in order: the shared blocks,
+    then the bucket blocks, every bucket's or only ``bucket_id``'s when given."""
     return [
         block
-        for prompts in (general, expert)
-        if prompts is not None
-        for (_, bucket), block in prompts.blocks.items()
+        for prompt_set in prompts
+        for (_, bucket), block in prompt_set.blocks.items()
         if bucket_id is None or bucket in (None, bucket_id)
     ]
 
 
-def trainable_parameters(model, general=None, expert=None, bucket_id=None):
+def trainable_parameters(model, prompts=(), bucket_id=None):
     """Every parameter the optimizer would touch for this forward setup: of a
     frozen backbone only the classifier, then the prompts."""
     backbone = [model.cls_w, model.cls_b] if model.backbone_frozen else parameters(model)
-    return backbone + prompt_parameters(general, expert, bucket_id)
+    return backbone + prompt_parameters(prompts, bucket_id)
 
 
 def gradient_errors(
     model,
     x,
     targets,
-    general=None,
-    expert=None,
+    prompts=(),
     bucket_id=None,
     n_coords=None,
     step=1e-5,
@@ -66,17 +56,8 @@ def gradient_errors(
     identically seeded generator per call so dropout masks replay exactly;
     without it the check runs on the deterministic evaluation path.
     """
-    params = trainable_parameters(model, general, expert, bucket_id)
-    fwd_rng = rng_factory() if rng_factory is not None else None
-    _, cache = model.forward(
-        x,
-        general=general,
-        expert=expert,
-        bucket_id=bucket_id,
-        train=fwd_rng is not None,
-        rng=fwd_rng,
-        want_cache=True,
-    )
+    params = trainable_parameters(model, prompts, bucket_id)
+    _, cache = model.forward(x, prompts, bucket_id, rng_factory() if rng_factory is not None else None)
     grads = dict(model.backward(cache, np.asarray(targets)))
     missing = [p.name for p in params if p.value.size and p not in grads]
     assert not missing, f"backward returned no gradient for {missing}"
@@ -97,9 +78,9 @@ def gradient_errors(
         flat = p.value.reshape(-1)
         original = flat[c]
         flat[c] = original + step
-        up = _loss(model, x, targets, general, expert, bucket_id, rng_factory)
+        up = _loss(model, x, targets, prompts, bucket_id, rng_factory)
         flat[c] = original - step
-        down = _loss(model, x, targets, general, expert, bucket_id, rng_factory)
+        down = _loss(model, x, targets, prompts, bucket_id, rng_factory)
         flat[c] = original
         fd = (up - down) / (2.0 * step)
         an = float(grads[p].reshape(-1)[c])

@@ -35,10 +35,12 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def prompt_sources(model, layer, general, expert, bucket_id):
+def prompt_sources(model, layer, prompts, bucket_id):
     """The blocks attached at ``layer``, picked from the configured layers: the
-    general block, then the expert's task block, then its bucket's block."""
+    general block, then the expert's task block, then its bucket's block.
+    ``prompts`` holds the general set, then the expert set when there is one."""
     cfg = model.cfg
+    general, expert = (*prompts, None, None)[:2]
     sources = []
     if cfg.prompt_len == 0:
         return sources
@@ -52,22 +54,19 @@ def prompt_sources(model, layer, general, expert, bucket_id):
     return sources
 
 
-def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rng=None, want_cache=True):
+def forward(model, x, prompts=(), bucket_id=None, rng=None):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.cfg.max_len:
         raise ConfigurationError(f"expected {model.cfg.max_len} input rows, got {x.shape[1]}")
     batch = x.shape[0]
     cfg = model.cfg
     scale = 1.0 / math.sqrt(model.d_head)
-    use_dropout = train and cfg.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ConfigurationError("training with dropout needs an rng")
+    use_dropout = rng is not None and cfg.dropout > 0.0
 
-    cache = ForwardCache(batch) if want_cache else None
-
+    layers = []
     h = x
     for layer in range(cfg.layers):
-        sources = prompt_sources(model, layer, general, expert, bucket_id)
+        sources = prompt_sources(model, layer, prompts, bucket_id)
         prepended = 0
         if cfg.prompt_mode == PROMPT_MODE and sources:
             tokens = np.concatenate([src.value for src in sources], axis=0)
@@ -98,20 +97,19 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
         if use_dropout:
             mask = (rng.random(out.shape) >= cfg.dropout).astype(np.float64)
             out = out * mask / (1.0 - cfg.dropout)
-        if cache is not None:
-            cache.layers.append(
-                {
-                    "h_in": h,
-                    "qh": qh,
-                    "kh": kh,
-                    "vh": vh,
-                    "attn": attn,
-                    "mask": mask,
-                    "sources": sources,
-                    "prepended": prepended,
-                    "prompt_rows": t_k - t_q,
-                }
-            )
+        layers.append(
+            {
+                "h_in": h,
+                "qh": qh,
+                "kh": kh,
+                "vh": vh,
+                "attn": attn,
+                "mask": mask,
+                "sources": sources,
+                "prepended": prepended,
+                "prompt_rows": t_k - t_q,
+            }
+        )
         h = out
 
     flat = h.reshape(batch, -1)
@@ -120,11 +118,7 @@ def forward(model, x, general=None, expert=None, bucket_id=None, train=False, rn
     probs = softmax(logits, axis=-1)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite probabilities in the classifier head")
-    if cache is not None:
-        cache.flat = flat
-        cache.dense_out = dense_out
-        cache.probs = probs
-    return probs, cache
+    return probs, ForwardCache(batch, layers, flat, dense_out, probs)
 
 
 def backward(model, cache, targets):
@@ -219,12 +213,12 @@ def sgd_step(grads, lr):
         p.value -= lr * grad
 
 
-def train_window(model, batches, epochs, lr, general=None, expert=None, rng=None):
+def train_window(model, batches, epochs, lr, prompts, rng):
     if not batches:
         return
     for _ in range(epochs):
         for bucket_id, chunks in batches:
             for chunk in chunks:
                 x, targets = stack_samples(chunk, model.input_width)
-                _, cache = forward(model, x, general=general, expert=expert, bucket_id=bucket_id, train=True, rng=rng)
+                _, cache = forward(model, x, prompts, bucket_id, rng)
                 sgd_step(backward(model, cache, targets), lr)

@@ -122,7 +122,7 @@ def test_01_gradients_match_finite_differences():
         x = rng.uniform(0.0, 1.0, (batch, max_len, width))
         targets = rng.integers(1, n_classes + 1, batch)
         errors = gradient_errors(
-            model, x, targets, general=general, expert=expert, bucket_id=1,
+            model, x, targets, prompts=(general, expert), bucket_id=1,
             n_coords=100, step=1e-5, seed=int(rng.integers(0, 2**31)),
         )
         worst = max(worst, float(np.max(errors)))
@@ -149,7 +149,7 @@ def test_02_training_one_bucket_leaves_others_bit_identical():
         return [p.value.copy() for (_, bucket), p in expert.blocks.items() if bucket == bucket_id]
 
     before = {b: bucket_values(b) for b in (1, 2, 3)}
-    train_window(model, [(2, [chunk])], epochs=1, lr=0.1, general=general, expert=expert)
+    train_window(model, [(2, [chunk])], epochs=1, lr=0.1, prompts=(general, expert), rng=np.random.default_rng(0))
     untouched = all(
         np.array_equal(now, prev)
         for b in (1, 3)
@@ -174,7 +174,7 @@ def test_03_prefix_mode_keeps_output_length():
         model = AttentionPredictor(cfg, 5, 4, seed=11)
         general = init_prompts(model, cfg.general_layers, (), [1, 101], "general")
         expert = init_prompts(model, cfg.expert_layers, (1, 2), [2, 211, 1], "task1")
-        _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+        _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
         lengths_ok &= [entry["qh"].shape[2] for entry in cache.layers] == [4, 4]
         lengths_ok &= model.final_seq_len == 4
 
@@ -182,8 +182,8 @@ def test_03_prefix_mode_keeps_output_length():
     model = AttentionPredictor(cfg0, 5, 4, seed=11)
     general = init_prompts(model, cfg0.general_layers, (), [1, 101], "general")
     expert = init_prompts(model, cfg0.expert_layers, (1, 2), [2, 211, 1], "task1")
-    with_prompts, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
-    without, _ = model.forward(x, want_cache=False)
+    with_prompts, _ = model.forward(x, prompts=(general, expert), bucket_id=1)
+    without, _ = model.forward(x)
     zero_exact = np.array_equal(with_prompts, without)
     verdict(3, lengths_ok and zero_exact, "output length == input length for L_p in {0,1,5,16}; L_p=0 bit-exact")
 

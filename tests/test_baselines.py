@@ -76,7 +76,7 @@ def test_reinit_rebuilds_the_backbone_from_seed(tiny_stream, small_config):
     engine.prepare(tiny_stream)
     trained_names = {p.name: p.value.copy() for p in parameters(engine.model)}
     engine.consume(tiny_stream, record=False)
-    engine._reinit_model()
+    engine._build_model()
     for p in parameters(engine.model):
         assert np.array_equal(p.value, trained_names[p.name]), p.name
 

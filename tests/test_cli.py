@@ -6,6 +6,8 @@ import json
 import os
 import platform
 import shutil
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cnapwp
 from cnapwp.baselines import STRATEGIES
 from cnapwp import stream as stream_mod
 from cnapwp.cli import _resolve_strategy, load_engine_config, main, write_engine_ini
@@ -321,6 +324,37 @@ def test_bytes_that_are_not_utf8_exit_3_naming_the_file(gen_dir, tmp_path, capsy
         err = assert_one_error_line(capsys)
         assert str(culprit) in err and "not UTF-8" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "bad.drifts"]
+
+
+# Under the C locale with UTF-8 mode off, Python's default text encoding is ASCII.
+ASCII_LOCALE = "import locale, sys; from cnapwp.cli import main; print(locale.getpreferredencoding(False)); "
+
+
+def test_run_and_report_write_utf8_under_an_ascii_locale(gen_dir, tmp_path):
+    stream = tmp_path / "umlaut.csv"
+    text = (gen_dir / "stream.csv").read_text(encoding="utf-8")
+    assert ",Register," in text
+    stream.write_text(text.replace(",Register,", ",Prüfen,"), encoding="utf-8")
+    for suffix in (".drifts", ".tasks"):
+        shutil.copy(gen_dir / f"stream{suffix}", stream.with_suffix(suffix))
+
+    def run(out):
+        return ["run", "--stream", str(stream), "--strategy", "full", "--out", str(tmp_path / out)] + FAST
+
+    report = ["report", "--runs", str(tmp_path / "child"), "--out", str(tmp_path / "report")]
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(cnapwp.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", ASCII_LOCALE + f"sys.exit(main({run('child')!r}) or main({report!r}))"],
+        env=env, capture_output=True, text=True, encoding="utf-8", errors="replace", timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[0].lower() in ("ascii", "ansi_x3.4-1968", "us-ascii"), child.stdout
+    assert (tmp_path / "report" / "accuracy_curves.svg").exists()
+    assert main(run("in_process")) == 0
+    records = (tmp_path / "child" / "records.csv").read_bytes()
+    assert "Prüfen".encode("utf-8") in records
+    assert records == (tmp_path / "in_process" / "records.csv").read_bytes()
 
 
 def test_run_data_errors(tmp_path, capsys):

@@ -312,9 +312,9 @@ def test_prediction_cache_leaves_records_unchanged(tiny_stream, small_config, tm
         calls["predict"] += 1
         return predict(self, *args, **kwargs)
 
-    def counted_forward(self, *args, train=False, **kwargs):
-        calls["forward"] += not train
-        return forward(self, *args, train=train, **kwargs)
+    def counted_forward(self, x, prompts=(), bucket_id=None, rng=None):
+        calls["forward"] += rng is None  # an rng means an update pass
+        return forward(self, x, prompts, bucket_id, rng)
 
     monkeypatch.setattr(AttentionPredictor, "predict", counted_predict)
     monkeypatch.setattr(AttentionPredictor, "forward", counted_forward)

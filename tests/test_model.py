@@ -141,7 +141,7 @@ def test_forward_shapes_and_normalization():
     general, expert = make_prompts(model)
     rng = np.random.default_rng(2)
     x = one_hot_batch(model, rng)
-    probs, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    probs, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
     assert probs.shape == (3, model.n_classes)
     assert np.allclose(probs.sum(axis=-1), 1.0)
     assert cache.batch_size == 3
@@ -162,23 +162,33 @@ def test_forward_requires_bucket_for_expert():
     _, expert = make_prompts(model)
     x = one_hot_batch(model, np.random.default_rng(4))
     with pytest.raises(ConfigurationError):
-        model.forward(x, expert=expert, bucket_id=None)
+        model.forward(x, prompts=(expert,), bucket_id=None)
     with pytest.raises(ConfigurationError):
-        model.forward(x, expert=expert, bucket_id=9)
+        model.forward(x, prompts=(expert,), bucket_id=9)
 
 
-def test_forward_dropout_needs_rng():
+def test_forward_with_an_rng_draws_one_dropout_mask_per_layer():
     model = make_model(dropout=0.5)
+    general, expert = make_prompts(model)
     x = one_hot_batch(model, np.random.default_rng(5))
-    with pytest.raises(ConfigurationError):
-        model.forward(x, train=True)
+    plain, _ = model.forward(x, (general, expert), 1)
+    rng = np.random.default_rng(12)
+    dropped, cache = model.forward(x, (general, expert), 1, rng)
+    again, _ = model.forward(x, (general, expert), 1, np.random.default_rng(12))
+    assert not np.array_equal(dropped, plain)
+    assert np.array_equal(dropped, again)
+    assert all(entry["mask"] is not None for entry in cache.layers)
+    replay = np.random.default_rng(12)
+    for _ in range(model.cfg.layers):
+        replay.random((len(x), model.cfg.max_len, model.d_model))  # prefix mode: every layer's output shape
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_forward_is_deterministic_outside_training():
     model = make_model(dropout=0.5)
     x = one_hot_batch(model, np.random.default_rng(6))
-    a, _ = model.forward(x, want_cache=False)
-    b, _ = model.forward(x, want_cache=False)
+    a, _ = model.forward(x)
+    b, _ = model.forward(x)
     assert np.array_equal(a, b)
 
 
@@ -187,7 +197,7 @@ def test_forward_flags_nonfinite_weights():
     model.layers_qkv[0][0].value[0, 0] = np.nan
     x = one_hot_batch(model, np.random.default_rng(7))
     with pytest.raises(NumericError):
-        model.forward(x, want_cache=False)
+        model.forward(x)
 
 
 def test_same_seed_same_parameters():
@@ -209,7 +219,7 @@ def test_prefix_mode_keeps_sequence_lengths():
         model = make_model(PREFIX_MODE, prompt_len=prompt_len)
         general, expert = make_prompts(model)
         x = one_hot_batch(model, np.random.default_rng(8))
-        _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+        _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
         assert model.final_seq_len == model.cfg.max_len
         assert [entry["qh"].shape[2] for entry in cache.layers] == [model.cfg.max_len] * model.cfg.layers
         # keys grew by the attached rows while queries did not
@@ -222,7 +232,7 @@ def test_prompt_mode_extends_sequence_lengths():
     general, expert = make_prompts(model)
     assert model.final_seq_len == 10  # general adds 2 rows at layer 0, expert 4 more at layer 1
     x = one_hot_batch(model, np.random.default_rng(9))
-    probs, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
+    probs, cache = model.forward(x, prompts=(general, expert), bucket_id=2)
     assert [entry["h_in"].shape[1] - entry["prepended"] for entry in cache.layers] == [4, 6]
     assert [entry["qh"].shape[2] for entry in cache.layers] == [6, 10]
     assert probs.shape == (3, model.n_classes)
@@ -240,8 +250,8 @@ def test_zero_length_prompt_equals_promptless_forward():
     model = make_model(PREFIX_MODE, prompt_len=0)
     general, expert = make_prompts(model)
     x = one_hot_batch(model, np.random.default_rng(10))
-    with_prompts, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
-    without, _ = model.forward(x, want_cache=False)
+    with_prompts, _ = model.forward(x, prompts=(general, expert), bucket_id=1)
+    without, _ = model.forward(x)
     assert np.array_equal(with_prompts, without)
 
 
@@ -250,19 +260,19 @@ def test_prompt_init_is_bounded_and_seeded():
     general, _ = make_prompts(model, seed=33)
     again, _ = make_prompts(model, seed=33)
     other, _ = make_prompts(model, seed=34)
-    params = prompt_parameters(general)
-    for p, q in zip(params, prompt_parameters(again)):
+    params = prompt_parameters((general,))
+    for p, q in zip(params, prompt_parameters((again,))):
         assert np.array_equal(p.value, q.value)
         assert np.abs(p.value).max() <= 0.1
-    assert any(not np.array_equal(p.value, q.value) for p, q in zip(params, prompt_parameters(other)))
+    assert any(not np.array_equal(p.value, q.value) for p, q in zip(params, prompt_parameters((other,))))
 
 
 def test_expert_prompts_differ_by_task():
     model = make_model()
     e1 = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 1], "task1")
     e2 = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 2], "task2")
-    p1 = prompt_parameters(expert=e1)
-    p2 = prompt_parameters(expert=e2)
+    p1 = prompt_parameters((e1,))
+    p2 = prompt_parameters((e2,))
     assert len(p1) == len(p2)
     assert any(not np.array_equal(a.value, b.value) for a, b in zip(p1, p2))
 
@@ -284,7 +294,7 @@ def build_prefix_like(history, vocab, max_len):
 
 def _logits_for(model, sample, general, expert):
     x = one_hot((sample.activities,), model.input_width)
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=sample.bucket)
     return cache.dense_out @ model.cls_w.value + model.cls_b.value
 
 
@@ -353,7 +363,7 @@ def test_sgd_step_skips_frozen_parameters():
     frozen = parameters(model)[:-2]  # all but the classifier
     before = [p.value.copy() for p in frozen]
     x = one_hot_batch(model, np.random.default_rng(0))
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
     grads = model.backward(cache, np.array([1, 2, 3]))
     assert model.cls_w in dict(grads) and model.dense_w not in dict(grads)
     expected = [p.value - 0.5 * g for p, g in grads]
@@ -397,21 +407,21 @@ def test_train_window_learns_a_fixed_mapping():
     x, targets = stack_samples(samples, model.input_width)
 
     def loss():
-        probs, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
+        probs, _ = model.forward(x, prompts=(general, expert), bucket_id=1)
         return mean_cross_entropy(probs, targets)
 
     before = loss()
-    train_window(model, batches, epochs=200, lr=0.1, general=general, expert=expert)
+    train_window(model, batches, epochs=200, lr=0.1, prompts=(general, expert), rng=np.random.default_rng(0))
     after = loss()
     assert after < before * 0.2
-    probs, _ = model.forward(x, general=general, expert=expert, bucket_id=1, want_cache=False)
+    probs, _ = model.forward(x, prompts=(general, expert), bucket_id=1)
     assert (np.argmax(probs, axis=-1) + 1 == targets).all()
 
 
 def test_train_window_with_no_batches_is_a_noop():
     model = make_model()
     snapshot = [p.value.copy() for p in parameters(model)]
-    train_window(model, [], epochs=3, lr=0.1)
+    train_window(model, [], epochs=3, lr=0.1, prompts=(), rng=np.random.default_rng(0))
     for p, before in zip(parameters(model), snapshot):
         assert np.array_equal(p.value, before)
 
@@ -426,18 +436,25 @@ def _cached_setup():
     return vocab, model, general, expert, _encode_under(vocab, ["a", "b"], "c")
 
 
-def _uncached(model, sample, general, expert):
+def _active(*prompt_sets):
+    """A new tuple on every call, as the engine builds one for every event."""
+    return tuple(prompt_sets)
+
+
+def _uncached(model, sample, prompts):
     x = one_hot((sample.activities,), model.input_width)
-    probs, _ = model.forward(x, general=general, expert=expert, bucket_id=sample.bucket, want_cache=False)
+    probs, _ = model.forward(x, prompts, sample.bucket)
     return probs[0]
 
 
 def test_repeated_predict_returns_the_cached_read_only_result():
     _, model, general, expert, sample = _cached_setup()
-    first = model.predict(sample, general, expert)
-    assert model.predict(sample, general, expert) is first
+    prompts, again = _active(general, expert), _active(general, expert)
+    assert prompts is not again  # both stay alive, so a key on the tuple's id could not match
+    first = model.predict(sample, prompts)
+    assert model.predict(sample, again) is first
     probs, index = first
-    expected = _uncached(model, sample, general, expert)
+    expected = _uncached(model, sample, _active(general, expert))
     assert np.array_equal(probs, expected) and index == int(np.argmax(expected)) + 1
     assert not probs.flags.writeable
     with pytest.raises(ValueError):
@@ -446,34 +463,35 @@ def test_repeated_predict_returns_the_cached_read_only_result():
 
 def test_a_different_expert_set_or_bucket_misses():
     _, model, general, expert, sample = _cached_setup()
-    first = model.predict(sample, general, expert)
+    first = model.predict(sample, _active(general, expert))
     # An equal-valued but distinct prompt set is another key: prompts go in by identity.
     twin = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 1], "task1")
     other = init_prompts(model, model.cfg.expert_layers, (1, 2), [11, 211, 2], "task2")
     other_bucket = dataclasses.replace(sample, bucket=3 - sample.bucket)
-    for args in ((sample, general, twin), (sample, general, other), (other_bucket, general, expert)):
-        probs, _ = model.predict(*args)
+    for case, expert_set in ((sample, twin), (sample, other), (other_bucket, expert)):
+        probs, _ = model.predict(case, _active(general, expert_set))
         assert probs is not first[0]
-        assert np.array_equal(probs, _uncached(model, *args))
+        assert np.array_equal(probs, _uncached(model, case, _active(general, expert_set)))
     assert len(model._predictions) == 4
+    assert model.predict(sample, _active(general, expert)) is first
 
 
 @pytest.mark.parametrize("epochs", [0, 1])
 def test_train_window_clears_the_prediction_cache(epochs):
     _, model, general, expert, sample = _cached_setup()
-    model.predict(sample, general, expert)
-    train_window(model, [(sample.bucket, [[sample]])], epochs=epochs, lr=0.5, general=general, expert=expert)
+    model.predict(sample, _active(general, expert))
+    rng = np.random.default_rng(0)
+    train_window(model, [(sample.bucket, [[sample]])], epochs, 0.5, _active(general, expert), rng)
     assert not model._predictions
-    probs, _ = model.predict(sample, general, expert)
-    assert np.array_equal(probs, _uncached(model, sample, general, expert))
+    probs, _ = model.predict(sample, _active(general, expert))
+    assert np.array_equal(probs, _uncached(model, sample, _active(general, expert)))
 
 
 def test_grow_vocabulary_clears_the_prediction_cache():
     vocab, model, general, expert, sample = _cached_setup()
-    model.predict(sample, general, expert)
+    model.predict(sample, _active(general, expert))
     vocab.intern("d")
     grow_vocabulary(model, vocab.width, len(vocab), [general, expert])
     assert not model._predictions
-    probs, _ = model.predict(sample, general, expert)
+    probs, _ = model.predict(sample, _active(general, expert))
     assert probs.shape == (len(vocab),)
-

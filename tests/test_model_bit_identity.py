@@ -65,14 +65,14 @@ def two_buckets(model, rng, sizes=((BATCH, 7), (BATCH, 1))):
 
 
 def all_parameters(model, general, expert):
-    return parameters(model) + prompt_parameters(general, expert)
+    return parameters(model) + prompt_parameters((general, expert))
 
 
 def assert_same_update(setup, batches, epochs=2, lr=0.05):
     """Train two copies, one per implementation, and compare every parameter byte."""
     ours, theirs = copy.deepcopy(setup), copy.deepcopy(setup)
-    train_window(ours[0], batches, epochs, lr, general=ours[1], expert=ours[2], rng=np.random.default_rng(9))
-    ref.train_window(theirs[0], batches, epochs, lr, general=theirs[1], expert=theirs[2], rng=np.random.default_rng(9))
+    train_window(ours[0], batches, epochs, lr, ours[1:], np.random.default_rng(9))
+    ref.train_window(theirs[0], batches, epochs, lr, theirs[1:], np.random.default_rng(9))
     pairs = list(zip(all_parameters(*ours), all_parameters(*theirs)))
     assert pairs
     for mine, reference in pairs:
@@ -120,7 +120,7 @@ def test_grown_vocabulary_matches_the_reference(layout):
 def qkv_weight_gradients(setup, x, targets, backward):
     """Each layer's ``wqkv`` gradient after one backward pass on a copy of ``setup``."""
     model, general, expert = copy.deepcopy(setup)
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1, train=True, rng=np.random.default_rng(8))
+    _, cache = model.forward(x, (general, expert), bucket_id=1, rng=np.random.default_rng(8))
     grads = dict(backward(model, cache, targets))
     return {w.name: grads[w] for w, _ in model.layers_qkv}
 

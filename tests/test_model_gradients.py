@@ -44,7 +44,7 @@ def batch_for(model, seed=3, batch=3):
 def test_prefix_mode_gradients_every_coordinate():
     model, general, expert = build(PREFIX_MODE)
     x, targets = batch_for(model)
-    errors = gradient_errors(model, x, targets, general=general, expert=expert, bucket_id=1)
+    errors = gradient_errors(model, x, targets, prompts=(general, expert), bucket_id=1)
     assert max(errors) < TOL
 
 
@@ -52,7 +52,7 @@ def test_prompt_mode_gradients_sampled():
     model, general, expert = build(PROMPT_MODE)
     x, targets = batch_for(model)
     errors = gradient_errors(
-        model, x, targets, general=general, expert=expert, bucket_id=2, n_coords=600, seed=1
+        model, x, targets, prompts=(general, expert), bucket_id=2, n_coords=600, seed=1
     )
     assert max(errors) < TOL
 
@@ -70,7 +70,7 @@ def test_single_layer_shared_attachment_gradients():
         PREFIX_MODE, layers=1, general_layers=(0,), expert_layers=(0,), prompt_len=1
     )
     x, targets = batch_for(model, seed=11)
-    errors = gradient_errors(model, x, targets, general=general, expert=expert, bucket_id=1)
+    errors = gradient_errors(model, x, targets, prompts=(general, expert), bucket_id=1)
     assert max(errors) < TOL
 
 
@@ -82,8 +82,7 @@ def test_gradients_under_replayed_dropout():
         model,
         x,
         targets,
-        general=general,
-        expert=expert,
+        prompts=(general, expert),
         bucket_id=1,
         n_coords=150,
         seed=2,
@@ -95,7 +94,7 @@ def test_gradients_under_replayed_dropout():
 def test_inactive_bucket_gets_no_gradient():
     model, general, expert = build(PREFIX_MODE)
     x, targets = batch_for(model)
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
     grads = dict(model.backward(cache, targets))
     for p in bucket_blocks(expert, 2):
         assert p not in grads
@@ -110,9 +109,9 @@ def test_floored_probability_contributes_no_gradient():
     # Push every target class far below the floor.
     for t in np.unique(targets):
         model.cls_b.value[t - 1] = -2000.0
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
     grads = dict(model.backward(cache, targets))
-    for p in trainable_parameters(model, general, expert, bucket_id=1):
+    for p in trainable_parameters(model, (general, expert), bucket_id=1):
         assert np.array_equal(grads[p], np.zeros_like(p.value))
 
 
@@ -123,12 +122,12 @@ def test_floored_sample_drops_out_of_the_batch_mean():
     targets = np.array([1, 2])
     model.cls_b.value[1] = -2000.0  # floors the second sample only
 
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=1)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
     paired = dict(model.backward(cache, targets))
 
-    _, cache = model.forward(x[:1], general=general, expert=expert, bucket_id=1)
+    _, cache = model.forward(x[:1], prompts=(general, expert), bucket_id=1)
     single = dict(model.backward(cache, np.array([1])))
-    for p in trainable_parameters(model, general, expert, 1):
+    for p in trainable_parameters(model, (general, expert), 1):
         assert np.allclose(paired[p] * 2.0, single[p], rtol=1e-12, atol=1e-15), p.name
 
 
@@ -146,11 +145,11 @@ def test_backward_pairs_each_used_trainable_parameter_once(layout, frozen, promp
     model, general, expert = build(mode, general_layers=general_layers, prompt_len=prompt_len)
     model.backbone_frozen = frozen  # as the engine freezes it: of the backbone only the classifier trains
     x, targets = batch_for(model)
-    _, cache = model.forward(x, general=general, expert=expert, bucket_id=2)
+    _, cache = model.forward(x, prompts=(general, expert), bucket_id=2)
     pairs = model.backward(cache, targets)
 
-    every = parameters(model) + prompt_parameters(general, expert)
-    expected = [p for p in trainable_parameters(model, general, expert, bucket_id=2) if p.value.size]
+    every = parameters(model) + prompt_parameters((general, expert))
+    expected = [p for p in trainable_parameters(model, (general, expert), bucket_id=2) if p.value.size]
     assert sorted(p.name for p, _ in pairs) == sorted(p.name for p in expected)
     assert {id(p) for p, _ in pairs} == {id(p) for p in expected} and len(pairs) == len(expected)
     for p, grad in pairs:

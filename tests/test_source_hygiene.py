@@ -1,6 +1,7 @@
 """Every name a module imports is used, and every function, class and method
 it defines is referenced: deletions must take their imports along, and code
-that only tests reach does not stay in the program.
+that only tests reach does not stay in the program. Every file opened as text
+names its encoding, so what a run writes and reads does not follow the locale.
 
 An imported name counts as used when the module reads it anywhere
 (annotations too) or re-exports it through ``__all__``. A defined name counts
@@ -70,6 +71,24 @@ def unreferenced_definitions(defining: list[str], referencing: list[str]) -> lis
     return sorted(defined - used)
 
 
+def unencoded_text_io(source: str) -> list[str]:
+    """Calls of ``open`` in a mode without ``b``, and of ``.read_text``/``.write_text``,
+    that pass no ``encoding=``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(keyword.arg == "encoding" for keyword in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            found.append((node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = [*node.args[1:2], *(keyword.value for keyword in node.keywords if keyword.arg == "mode")]
+            binary = modes and isinstance(modes[0], ast.Constant) and "b" in str(modes[0].value)
+            if not binary:
+                found.append((node.lineno, "open"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def test_modules_are_found():
     assert {"model.py", "engine.py", "cli.py", "make_pools.py"} <= {path.name for path in MODULES}
 
@@ -91,6 +110,27 @@ def test_the_check_sees_unused_names_and_spares_used_ones():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 2: xml", "line 4: Iterator"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_text_files_name_their_encoding(path):
+    assert unencoded_text_io(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_text_io_without_an_encoding():
+    source = (
+        "from pathlib import Path\n"
+        "with open('a.csv', 'w', newline='') as fh: pass\n"
+        "with open('a.csv', encoding='utf-8') as fh: pass\n"
+        "with open('a.bin', 'rb') as fh: pass\n"
+        "with open('a.bin', mode='wb') as fh: pass\n"
+        "with open('a.txt', mode='r') as fh: pass\n"
+        "Path('s.json').read_text()\n"
+        "Path('s.json').write_text('{}', encoding='utf-8')\n"
+        "Path('s.json').write_text('{}')\n"
+        "Path('s.json').read_bytes()\n"
+    )
+    assert unencoded_text_io(source) == ["line 2: open", "line 6: open", "line 7: read_text", "line 9: write_text"]
 
 
 def test_every_definition_is_referenced_by_the_program():
