@@ -140,12 +140,24 @@ def _prepare_outdir(path: Path, force: bool, inputs) -> Path:
     return path
 
 
+def _argv_text(value):
+    """An argv-derived string, or each string of a list, as the text its bytes
+    spell in UTF-8, the encoding of every file cnapwp writes. Under a locale
+    that is not UTF-8, Python decodes argv bytes it cannot read to lone
+    surrogates, which no UTF-8 file can hold; bytes that are not UTF-8 become U+FFFD."""
+    if isinstance(value, list):
+        return [_argv_text(item) for item in value]
+    if isinstance(value, str):
+        return value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+    return value
+
+
 def _write_manifest(outdir: Path, command: str, params: dict) -> None:
     manifest = {
         "command": command,
         "created": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
-        "params": params,
+        "params": {key: _argv_text(value) for key, value in params.items()},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": _blas(),
@@ -196,11 +208,11 @@ def _require_drift_info(strategy_name: str, drift_source: str | None) -> None:
 
 
 def _check_model_size(stream, config: EngineConfig, strategy) -> None:
-    """Refuse a dense weight over the cap at the width ``prepare`` will build:
-    the warm-up split's distinct activities plus the padding slot."""
+    """Refuse a model or training batch over the cap at the width ``prepare`` will
+    build: the warm-up split's distinct activities plus the padding slot."""
     warm, _ = split_validation(stream, config.validation_fraction)
     model_cfg = config.model_config(strategy)
-    model_cfg.check_dense_weight(model_cfg.d_model(len({e.activity for e in warm.events}) + 1))
+    model_cfg.check_sizes(model_cfg.d_model(len({e.activity for e in warm.events}) + 1), config.batch_size)
 
 
 def _resolve_strategy(name: str):
@@ -520,7 +532,7 @@ def cmd_report(args) -> int:
         window = config.get("curve_window")
         if window is None:
             window = config.get("window_size", 250)
-        curves[label] = rolling_accuracy_curve(records, int(window))
+        curves[_argv_text(label)] = rolling_accuracy_curve(records, int(window))
         matrix = forgetting_matrix(records, summary.get("drift_indices"), summary.get("task_labels") or None)
         forgetting_heatmap_svg(matrix, outdir / heatmap)
         acc = average_accuracy(records)

@@ -80,7 +80,7 @@ class ModelConfig:
         for layer in (*self.general_layers, *self.expert_layers):
             if not 0 <= layer < self.layers:
                 raise ConfigurationError(f"prompt layer {layer} outside [0, {self.layers})")
-        self.check_dense_weight(self.d_model(1))  # the smallest model
+        self.check_sizes(self.d_model(1))  # the smallest model
 
     @property
     def final_seq_len(self) -> int:
@@ -93,14 +93,24 @@ class ModelConfig:
         """The attention width for a one-hot input width: the smallest multiple of ``heads`` covering it."""
         return math.ceil(input_width / self.heads) * self.heads
 
-    def check_dense_weight(self, d_model: int) -> None:
-        """Refuse a dense weight of ``8 * (final_seq_len * d_model)**2`` bytes above MAX_DENSE_WEIGHT_BYTES."""
-        size = 8 * (self.final_seq_len * d_model) ** 2
-        if size > MAX_DENSE_WEIGHT_BYTES:
-            raise ConfigurationError(
-                f"the dense weight of {self.final_seq_len} rows x d_model {d_model} would take "
-                f"{size / 2**30:,.1f} GiB, above the {MAX_DENSE_WEIGHT_BYTES >> 30} GiB cap"
-            )
+    def check_sizes(self, d_model: int, batch_size: int = 1) -> None:
+        """Refuse, before anything is allocated, any of these above MAX_DENSE_WEIGHT_BYTES:
+        the dense weight, ``8 * (final_seq_len * d_model)**2`` bytes; one layer's
+        prompt blocks; the attention scores of a ``batch_size`` batch, whose keys
+        also hold a layer's prefix-mode prompt rows."""
+        rows = max((self.rows_attached_at(layer) for layer in {*self.general_layers, *self.expert_layers}), default=0)
+        prefix = self.prompt_mode == PREFIX_MODE
+        t_q = self.final_seq_len
+        doubles = {
+            f"the dense weight of {t_q} rows x d_model {d_model}": (t_q * d_model) ** 2,
+            f"the {rows} prompt rows of a layer at d_model {d_model}": (1 + prefix) * rows * d_model,
+            f"the attention scores of a batch of {batch_size}": batch_size * self.heads * t_q * (t_q + prefix * rows),
+        }
+        for what, count in doubles.items():
+            if 8 * count > MAX_DENSE_WEIGHT_BYTES:
+                raise ConfigurationError(
+                    f"{what} would take {8 * count / 2**30:,.1f} GiB, above the {MAX_DENSE_WEIGHT_BYTES >> 30} GiB cap"
+                )
 
     def rows_attached_at(self, layer: int) -> int:
         """Prompt rows attached at a layer: the general prompt's block, the expert's task and bucket blocks."""
@@ -159,6 +169,16 @@ class ForwardCache:
 # head, the per-column calls cost more than they save.
 COLUMN_LOOP_MIN_ROWS = 512
 
+# backward forms the dense weight's gradient in row blocks of whole sequence
+# positions, about this many bytes each, and sgd_step applies each block as it
+# arrives: no full-size gradient is allocated per step, and a block is still in
+# cache when it is applied. A block never has one row: OpenBLAS computes a
+# one-row product as a GEMV, which rounds differently from the full GEMM, while
+# every split into blocks of two or more rows gives the full product's bytes.
+DENSE_BLOCK_BYTES = 256 << 10
+
+ALL_ROWS = slice(None)  # the rows of a backward piece that covers its whole parameter
+
 
 def _many_rows(x: np.ndarray) -> bool:
     return x.size >= COLUMN_LOOP_MIN_ROWS * x.shape[-1] > 0
@@ -196,14 +216,28 @@ def attach_prefix(prompt_rows: np.ndarray, keys: np.ndarray, values: np.ndarray)
     return np.concatenate((pk, keys), axis=1), np.concatenate((pv, values), axis=1)
 
 
-def _block_gradients(blocks: Sequence[Parameter], d_rows: np.ndarray) -> Iterator[tuple[Parameter, np.ndarray]]:
+def _block_gradients(
+    blocks: Sequence[Parameter], d_rows: np.ndarray
+) -> Iterator[tuple[Parameter, slice, np.ndarray]]:
     """Each block's slice, along axis -2, of the gradient of the rows ``forward``
     concatenated from ``blocks``."""
     offset = 0
     for block in blocks:
         n = block.value.shape[-2]
-        yield block, d_rows[..., offset : offset + n, :]
+        yield block, ALL_ROWS, d_rows[..., offset : offset + n, :]
         offset += n
+
+
+def _dense_row_blocks(positions: int, d_model: int) -> list[slice]:
+    """Row slices tiling a dense weight of ``positions * d_model`` rows: whole
+    positions, about DENSE_BLOCK_BYTES each, none of one row (a one-row tail
+    joins the block before it)."""
+    rows = positions * d_model
+    per_block = max(2, max(1, DENSE_BLOCK_BYTES // (8 * rows * d_model)) * d_model)
+    starts = list(range(0, rows, per_block))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], rows])]
 
 
 def _fan_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -233,7 +267,7 @@ class AttentionPredictor:
         self.d_model = cfg.d_model(input_width)
         self.d_head = self.d_model // cfg.heads
         self.final_seq_len = cfg.final_seq_len
-        cfg.check_dense_weight(self.d_model)
+        cfg.check_sizes(self.d_model)
 
         rng = np.random.default_rng([seed, 97])
         self.layers_qkv: list[tuple[Parameter, Parameter]] = []
@@ -247,6 +281,7 @@ class AttentionPredictor:
         self.dense_b = Parameter(np.zeros(head_width), "dense.b")
         self.cls_w = Parameter(_fan_uniform(rng, head_width, n_classes), "classifier.w")
         self.cls_b = Parameter(np.zeros(n_classes), "classifier.b")
+        self.dense_blocks = _dense_row_blocks(self.final_seq_len, self.d_model)
         self.backbone_frozen = False
         # predict() results by (prompt sets, bucket, activity indices); valid only
         # while no parameter changes, so train_window and grow clear it.
@@ -359,13 +394,19 @@ class AttentionPredictor:
             raise NumericError("non-finite probabilities in the classifier head")
         return probs, ForwardCache(batch, layers, flat, dense_out, probs)
 
-    def backward(self, cache: ForwardCache, targets: np.ndarray) -> list[tuple[Parameter, np.ndarray]]:
-        """Gradients of the mean cross-entropy: one (parameter, gradient) pair per
-        parameter the forward pass used that still learns, each gradient a fresh array.
+    def backward(self, cache: ForwardCache, targets: np.ndarray) -> Iterator[tuple[Parameter, slice, np.ndarray]]:
+        """Gradients of the mean cross-entropy, yielded lazily as (parameter, rows,
+        gradient) pieces, ``gradient`` a fresh array for ``parameter.value[rows]``.
+
+        The pieces cover each parameter the forward pass used that still learns
+        exactly once: the dense weight in ``dense_blocks`` (row blocks of whole
+        sequence positions), every other parameter whole (``ALL_ROWS``). A
+        parameter's pieces come only after this pass has read its value for the
+        last time, so each piece may be applied as it arrives.
 
         The classifier and the prompts always learn; the rest of the backbone
-        only while it is not frozen. A frozen pass that used no prompt returns
-        right after the classifier pair, as nothing below it learns.
+        only while it is not frozen. A frozen pass that used no prompt stops
+        right after the classifier, as nothing below it learns.
         """
         cfg = self.cfg
         batch = cache.batch_size
@@ -375,23 +416,26 @@ class AttentionPredictor:
         if np.any(targets < 1) or np.any(targets > self.n_classes):
             raise ConfigurationError("targets must be ordinal activity indices in [1, n_classes]")
 
-        rows = np.arange(batch)
+        samples = np.arange(batch)
         dz = cache.probs.copy()
-        dz[rows, targets - 1] -= 1.0
+        dz[samples, targets - 1] -= 1.0
         dz /= batch
         # Clamped samples contribute a constant loss, hence no gradient.
-        floored = cache.probs[rows, targets - 1] <= LOG_FLOOR
+        floored = cache.probs[samples, targets - 1] <= LOG_FLOOR
         dz[floored] = 0.0
 
-        grads = [(self.cls_w, cache.dense_out.T @ dz), (self.cls_b, dz.sum(axis=0))]
+        classifier = [(self.cls_w, ALL_ROWS, cache.dense_out.T @ dz), (self.cls_b, ALL_ROWS, dz.sum(axis=0))]
         frozen = self.backbone_frozen
         if frozen and not any(entry["sources"] for entry in cache.layers):
-            return grads
+            yield from classifier
+            return
         d_dense = dz @ self.cls_w.value.T
-        if not frozen:
-            grads.append((self.dense_w, cache.flat.T @ d_dense))
-            grads.append((self.dense_b, d_dense.sum(axis=0)))
+        yield from classifier
         d_flat = d_dense @ self.dense_w.value.T
+        if not frozen:
+            yield self.dense_b, ALL_ROWS, d_dense.sum(axis=0)
+            for rows in self.dense_blocks:
+                yield self.dense_w, rows, cache.flat[:, rows].T @ d_dense
         dh = d_flat.reshape(batch, self.final_seq_len, self.d_model)
 
         scale = 1.0 / math.sqrt(self.d_head)
@@ -427,22 +471,22 @@ class AttentionPredictor:
                 dv[...] = d_vh[:, :, prompt_rows:]
                 # (2, heads, prompt_rows, d_head) -> (2, prompt_rows, d): key rows, then value rows.
                 d_rows = np.stack((d_kh[:, :, :prompt_rows].sum(axis=0), d_vh[:, :, :prompt_rows].sum(axis=0)))
-                grads.extend(_block_gradients(entry["sources"], d_rows.swapaxes(1, 2).reshape(2, prompt_rows, d)))
+                yield from _block_gradients(entry["sources"], d_rows.swapaxes(1, 2).reshape(2, prompt_rows, d))
             d_proj = d_proj.reshape(batch, t_q, 3 * d)
 
             w, b = self.layers_qkv[layer]
             h_in = entry["h_in"]
+            # The input gradient reads w, so it is formed before w's pieces go out.
+            dh = d_proj @ w.value.T if layer or entry["prepended"] else None
             if not frozen:
-                grads.append((w, h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)))
-                grads.append((b, d_proj.sum(axis=(0, 1))))
-            if layer == 0 and not entry["prepended"]:
+                yield w, ALL_ROWS, h_in.reshape(-1, h_in.shape[-1]).T @ d_proj.reshape(-1, 3 * d)
+                yield b, ALL_ROWS, d_proj.sum(axis=(0, 1))
+            if dh is None:
                 break  # no layer or prompt below consumes the input gradient
-            dh = d_proj @ w.value.T
 
             if entry["prepended"]:
-                grads.extend(_block_gradients(entry["sources"], dh[:, : entry["prepended"]].sum(axis=0)))
+                yield from _block_gradients(entry["sources"], dh[:, : entry["prepended"]].sum(axis=0))
                 dh = dh[:, entry["prepended"] :]
-        return grads
 
     def predict(self, sample: EncodedSample, prompts: tuple[PromptSet, ...] = ()) -> tuple[np.ndarray, int]:
         """Evaluate one sample; returns (read-only probabilities, predicted ordinal index).
@@ -513,11 +557,12 @@ def mean_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
-def sgd_step(grads: Iterable[tuple[Parameter, np.ndarray]], lr: float) -> None:
-    """Plain SGD over ``backward``'s (parameter, gradient) pairs; scales each gradient in place."""
-    for p, grad in grads:
+def sgd_step(pieces: Iterable[tuple[Parameter, slice, np.ndarray]], lr: float) -> None:
+    """Plain SGD over ``backward``'s (parameter, rows, gradient) pieces, each applied
+    as it arrives; scales each gradient in place."""
+    for p, rows, grad in pieces:
         grad *= lr  # grad * lr == lr * grad bit for bit, without a temporary
-        p.value -= grad
+        p.value[rows] -= grad
 
 
 def one_hot(indices, width: int) -> np.ndarray:

@@ -9,6 +9,23 @@ import numpy as np
 from cnapwp.model import mean_cross_entropy
 
 
+def full_gradients(pieces):
+    """Each parameter's whole gradient from ``backward``'s (parameter, rows, gradient)
+    pieces, in order of first arrival. Fails unless the pieces of a parameter
+    cover each of its entries exactly once."""
+    grads, covered = {}, {}
+    for p, rows, grad in pieces:
+        if p not in grads:
+            grads[p] = np.zeros_like(p.value)
+            covered[p] = np.zeros(p.value.shape, dtype=int)
+        assert grad.shape == p.value[rows].shape, p.name
+        grads[p][rows] = grad
+        covered[p][rows] += 1
+    for p, count in covered.items():
+        assert np.all(count == 1), f"{p.name}: pieces cover entries {sorted(set(count.ravel()))} times"
+    return grads
+
+
 def _loss(model, x, targets, prompts, bucket_id, rng_factory):
     rng = rng_factory() if rng_factory is not None else None
     probs, _ = model.forward(x, prompts, bucket_id, rng)
@@ -58,7 +75,7 @@ def gradient_errors(
     """
     params = trainable_parameters(model, prompts, bucket_id)
     _, cache = model.forward(x, prompts, bucket_id, rng_factory() if rng_factory is not None else None)
-    grads = dict(model.backward(cache, np.asarray(targets)))
+    grads = full_gradients(model.backward(cache, np.asarray(targets)))
     missing = [p.name for p in params if p.value.size and p not in grads]
     assert not missing, f"backward returned no gradient for {missing}"
 

@@ -286,7 +286,8 @@ def assert_one_error_line(capsys):
 
 
 # max_len=3000 fits the cap at d_model = heads but not at the warm-up vocabulary's width.
-@pytest.mark.parametrize("setting", ["max_len=100000", "heads=100000", "max_len=3000"])
+# prompt_len=200000000 gives prefix-mode prompt blocks of 12.8 GB, which never reach the dense head.
+@pytest.mark.parametrize("setting", ["max_len=100000", "heads=100000", "max_len=3000", "prompt_len=200000000"])
 @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
 def test_impossible_model_size_exits_2_before_the_folder(gen_dir, tmp_path, capsys, command, setting):
     out = tmp_path / "out"
@@ -330,6 +331,31 @@ def test_bytes_that_are_not_utf8_exit_3_naming_the_file(gen_dir, tmp_path, capsy
 ASCII_LOCALE = "import locale, sys; from cnapwp.cli import main; print(locale.getpreferredencoding(False)); "
 
 
+# The argvs reach the child as its own argv, so it decodes them as the locale says.
+RUN_ARGVS = ASCII_LOCALE + """
+argvs = [[]]
+for arg in sys.argv[1:]:
+    if arg == "--then":
+        argvs.append([])
+    else:
+        argvs[-1].append(arg)
+sys.exit(next(filter(None, map(main, argvs)), 0))
+"""
+
+
+def run_under_an_ascii_locale(*argvs):
+    """``main`` on each argv in turn in one child under the C locale, UTF-8 mode off; stops at the first failure."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(cnapwp.__file__).resolve().parents[1]))
+    args = [arg for argv in argvs for arg in ("--then", *argv)][1:]
+    child = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", RUN_ARGVS, *args],
+        env=env, capture_output=True, text=True, encoding="utf-8", errors="replace", timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[0].lower() in ("ascii", "ansi_x3.4-1968", "us-ascii"), child.stdout
+
+
 def test_run_and_report_write_utf8_under_an_ascii_locale(gen_dir, tmp_path):
     stream = tmp_path / "umlaut.csv"
     text = (gen_dir / "stream.csv").read_text(encoding="utf-8")
@@ -342,19 +368,27 @@ def test_run_and_report_write_utf8_under_an_ascii_locale(gen_dir, tmp_path):
         return ["run", "--stream", str(stream), "--strategy", "full", "--out", str(tmp_path / out)] + FAST
 
     report = ["report", "--runs", str(tmp_path / "child"), "--out", str(tmp_path / "report")]
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
-    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(Path(cnapwp.__file__).resolve().parents[1]))
-    child = subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-c", ASCII_LOCALE + f"sys.exit(main({run('child')!r}) or main({report!r}))"],
-        env=env, capture_output=True, text=True, encoding="utf-8", errors="replace", timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[0].lower() in ("ascii", "ansi_x3.4-1968", "us-ascii"), child.stdout
+    run_under_an_ascii_locale(run("child"), report)
     assert (tmp_path / "report" / "accuracy_curves.svg").exists()
     assert main(run("in_process")) == 0
     records = (tmp_path / "child" / "records.csv").read_bytes()
     assert "Prüfen".encode("utf-8") in records
     assert records == (tmp_path / "in_process" / "records.csv").read_bytes()
+
+
+def test_report_on_a_non_ascii_run_folder_writes_utf8_labels_under_an_ascii_locale(run_dirs, tmp_path):
+    # The child decodes the folder name's UTF-8 bytes from argv to lone surrogates.
+    shutil.copytree(run_dirs[1], tmp_path / "résultat")
+    runs = [str(run_dirs[0]), str(tmp_path / "résultat")]
+    run_under_an_ascii_locale(["report", "--runs", *runs, "--out", str(tmp_path / "child")])
+    assert main(["report", "--runs", *runs, "--out", str(tmp_path / "in_process")]) == 0
+    svg = (tmp_path / "child" / "accuracy_curves.svg").read_bytes()
+    assert "no_prompt:résultat".encode("utf-8") in svg
+    assert svg == (tmp_path / "in_process" / "accuracy_curves.svg").read_bytes()
+    outs = [tmp_path / "child", tmp_path / "in_process"]
+    manifests = [json.loads((out / "manifest.json").read_text(encoding="utf-8")) for out in outs]
+    assert manifests[0]["params"] == manifests[1]["params"] == {"runs": runs}
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(p.name for p in outs[1].iterdir())
 
 
 def test_run_data_errors(tmp_path, capsys):

@@ -7,6 +7,7 @@ are checked against numpy's own reductions on both sides of the row count at
 which they switch method.
 """
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 import reference_model as ref
 from cnapwp.model import (
     COLUMN_LOOP_MIN_ROWS,
+    DENSE_BLOCK_BYTES,
     PREFIX_MODE,
     PROMPT_MODE,
     AttentionPredictor,
     ModelConfig,
+    _dense_row_blocks,
     grow_vocabulary,
     init_prompts,
     one_hot,
@@ -29,7 +32,7 @@ from cnapwp.model import (
 )
 from cnapwp.preprocessing import EncodedSample
 
-from gradcheck import parameters, prompt_parameters
+from gradcheck import full_gradients, parameters, prompt_parameters
 
 BATCH = 25
 # (prompt mode, general prompt layers): the tuned recurrent layout, prompt rows
@@ -105,6 +108,47 @@ def test_frozen_backbone_matches_the_reference(layout):
     assert_same_update(setup, two_buckets(setup[0], np.random.default_rng(3)))
 
 
+# The wide-prefix benchmark's model: input width 49, so d_model 56 and a 560 x 560
+# dense weight in ten one-position blocks; and the tuned recurrent layout, whose
+# 13 positions x d_model 16 split into unequal blocks of 9 and 4 positions.
+DENSE_SPLITS = [
+    ((PREFIX_MODE, (1,)), 49, [56] * 10),
+    ((PROMPT_MODE, (1,)), 12, [144, 64]),
+]
+
+
+@pytest.mark.parametrize("layout, input_width, block_rows", DENSE_SPLITS)
+def test_dense_blocks_match_the_reference(layout, input_width, block_rows):
+    setup = build(*layout, input_width=input_width)
+    assert [s.stop - s.start for s in setup[0].dense_blocks] == block_rows
+    assert_same_update(setup, two_buckets(setup[0], np.random.default_rng(6), sizes=((BATCH,), (1,))))
+
+
+def test_dense_blocks_never_have_one_row():
+    # d_model 1: blocks of three rows would leave a one-row tail, which joins the block before it.
+    blocks = _dense_row_blocks(10_921, 1)
+    assert DENSE_BLOCK_BYTES // (8 * 10_921) == 3
+    assert [s.stop - s.start for s in blocks[-2:]] == [3, 4]
+    assert blocks[0].start == 0 and blocks[-1].stop == 10_921
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert _dense_row_blocks(1, 1) == [slice(0, 1)]
+
+
+def test_update_pass_allocates_no_full_size_dense_gradient():
+    # One 2-epoch pass over a batch of 25 at wide-prefix shapes; a full-size
+    # gradient beside the weight's own working set would take it past 2x.
+    model, general, expert = build(PREFIX_MODE, (1,), input_width=49)
+    batches = [(1, [samples(np.random.default_rng(7), BATCH, model.input_width, model.n_classes)])]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        train_window(model, batches, 2, 0.05, (general, expert), np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * model.dense_w.value.nbytes, (peak - start, model.dense_w.value.nbytes)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_grown_vocabulary_matches_the_reference(layout):
     # Samples from before the growth hold only indices below the old width; later ones use the new indices too.
@@ -121,7 +165,7 @@ def qkv_weight_gradients(setup, x, targets, backward):
     """Each layer's ``wqkv`` gradient after one backward pass on a copy of ``setup``."""
     model, general, expert = copy.deepcopy(setup)
     _, cache = model.forward(x, (general, expert), bucket_id=1, rng=np.random.default_rng(8))
-    grads = dict(backward(model, cache, targets))
+    grads = backward(model, cache, targets)
     return {w.name: grads[w] for w, _ in model.layers_qkv}
 
 
@@ -135,7 +179,7 @@ def test_qkv_weight_gradient_is_the_einsum_contraction(layout, case, monkeypatch
     chunk = samples(np.random.default_rng(5), 1 if case == "batch-of-one" else BATCH, 10, setup[0].n_classes)
     x = one_hot([s.activities for s in chunk], setup[0].input_width)
     targets = np.array([s.target for s in chunk])
-    gemm = qkv_weight_gradients(setup, x, targets, AttentionPredictor.backward)
+    gemm = qkv_weight_gradients(setup, x, targets, lambda model, *args: full_gradients(model.backward(*args)))
     monkeypatch.setattr(ref, "qkv_weight_gradient", lambda h_in, d_proj: np.einsum("btw,btk->wk", h_in, d_proj))
     einsum = qkv_weight_gradients(setup, x, targets, ref.backward)
     assert sorted(gemm) == ["layer0.wqkv", "layer1.wqkv"]

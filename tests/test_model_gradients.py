@@ -10,7 +10,7 @@ from cnapwp.model import (
     init_prompts,
 )
 
-from gradcheck import gradient_errors, parameters, prompt_parameters, trainable_parameters
+from gradcheck import full_gradients, gradient_errors, parameters, prompt_parameters, trainable_parameters
 
 # Central differences with step 1e-5 carry ~1e-9 absolute noise, which turns
 # into ~1e-5 relative error on near-zero coordinates; 1e-4 keeps headroom.
@@ -23,6 +23,9 @@ def build(mode, input_width=5, n_classes=4, seed=7, **cfg_kwargs):
     defaults.update(cfg_kwargs)
     cfg = ModelConfig(**defaults)
     model = AttentionPredictor(cfg, input_width, n_classes, seed)
+    # One sequence position per dense block, so the dense weight's gradient comes in several pieces.
+    d = model.d_model
+    model.dense_blocks = [slice(i, i + d) for i in range(0, model.final_seq_len * d, d)]
     general = init_prompts(model, cfg.general_layers, (), [seed, 101], "general")
     expert = init_prompts(model, cfg.expert_layers, (1, 2), [seed, 211, 1], "task1")
     return model, general, expert
@@ -95,7 +98,7 @@ def test_inactive_bucket_gets_no_gradient():
     model, general, expert = build(PREFIX_MODE)
     x, targets = batch_for(model)
     _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
-    grads = dict(model.backward(cache, targets))
+    grads = full_gradients(model.backward(cache, targets))
     for p in bucket_blocks(expert, 2):
         assert p not in grads
     active = bucket_blocks(expert, 1)
@@ -110,7 +113,7 @@ def test_floored_probability_contributes_no_gradient():
     for t in np.unique(targets):
         model.cls_b.value[t - 1] = -2000.0
     _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
-    grads = dict(model.backward(cache, targets))
+    grads = full_gradients(model.backward(cache, targets))
     for p in trainable_parameters(model, (general, expert), bucket_id=1):
         assert np.array_equal(grads[p], np.zeros_like(p.value))
 
@@ -123,10 +126,10 @@ def test_floored_sample_drops_out_of_the_batch_mean():
     model.cls_b.value[1] = -2000.0  # floors the second sample only
 
     _, cache = model.forward(x, prompts=(general, expert), bucket_id=1)
-    paired = dict(model.backward(cache, targets))
+    paired = full_gradients(model.backward(cache, targets))
 
     _, cache = model.forward(x[:1], prompts=(general, expert), bucket_id=1)
-    single = dict(model.backward(cache, np.array([1])))
+    single = full_gradients(model.backward(cache, np.array([1])))
     for p in trainable_parameters(model, (general, expert), 1):
         assert np.allclose(paired[p] * 2.0, single[p], rtol=1e-12, atol=1e-15), p.name
 
@@ -146,15 +149,16 @@ def test_backward_pairs_each_used_trainable_parameter_once(layout, frozen, promp
     model.backbone_frozen = frozen  # as the engine freezes it: of the backbone only the classifier trains
     x, targets = batch_for(model)
     _, cache = model.forward(x, prompts=(general, expert), bucket_id=2)
-    pairs = model.backward(cache, targets)
+    pieces = list(model.backward(cache, targets))
+    grads = full_gradients(pieces)  # each entry covered once: the dense blocks tile dense_w
 
     every = parameters(model) + prompt_parameters((general, expert))
     expected = [p for p in trainable_parameters(model, (general, expert), bucket_id=2) if p.value.size]
-    assert sorted(p.name for p, _ in pairs) == sorted(p.name for p in expected)
-    assert {id(p) for p, _ in pairs} == {id(p) for p in expected} and len(pairs) == len(expected)
-    for p, grad in pairs:
-        assert grad.shape == p.value.shape, p.name
+    assert sorted(p.name for p in grads) == sorted(p.name for p in expected)
+    assert {id(p) for p in grads} == {id(p) for p in expected}
+    assert sum(p is model.dense_w for p, _, _ in pieces) == (0 if frozen else model.final_seq_len)
+    for p, _, grad in pieces:
         assert not any(np.shares_memory(grad, q.value) for q in every), p.name
-    for i, (p, grad) in enumerate(pairs):
-        for q, other in pairs[i + 1 :]:
+    for i, (p, _, grad) in enumerate(pieces):
+        for q, _, other in pieces[i + 1 :]:
             assert not np.shares_memory(grad, other), (p.name, q.name)
