@@ -12,6 +12,7 @@ in it before any computation starts, so aborted runs are recognizable.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import dataclasses
 import itertools
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import ABLATION_CONDITIONS, STRATEGIES, map_jobs, worker_cap
-from .engine import EngineConfig, RunReport, run_session
+from .engine import EngineConfig, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
 from .metrics import average_accuracy, forgetting_matrix, read_records_csv, rolling_accuracy_curve, write_json
 from .plots import accuracy_curve_svg, forgetting_heatmap_svg
@@ -198,29 +199,57 @@ def _load_stream(args):
     return stream, drift_source, inputs
 
 
-def _require_drift_info(strategy_name: str, drift_source: str | None) -> None:
-    strategy = STRATEGIES[strategy_name]
-    if strategy.needs_drift_info and drift_source is None:
-        raise ConfigurationError(
-            f"strategy {strategy_name!r} needs drift positions; provide a drift column, "
-            f"a .drifts sidecar, or --drifts"
-        )
-
-
-def _check_model_size(stream, config: EngineConfig, strategy) -> None:
-    """Refuse a model or training batch over the cap at the width ``prepare`` will
-    build: the warm-up split's distinct activities plus the padding slot."""
-    warm, _ = split_validation(stream, config.validation_fraction)
-    model_cfg = config.model_config(strategy)
-    model_cfg.check_sizes(model_cfg.d_model(len({e.activity for e in warm.events}) + 1), config.batch_size)
-
-
-def _resolve_strategy(name: str):
+def _resolve_strategy(name: str, kind: str = "strategy"):
     if name == "full":
         return STRATEGIES["cnapwp"]
     if name not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)} or 'full'")
+        raise ConfigurationError(f"unknown {kind} {name!r}; choose from {sorted(STRATEGIES)} or 'full'")
     return STRATEGIES[name]
+
+
+# A checked command: the stream, its drift source, every file the command reads, and its
+# jobs as (config, strategy, subfolder to save the report in or None, validation_only).
+_Plan = collections.namedtuple("_Plan", "stream drift_source inputs jobs")
+
+
+def _plan(args, jobs: list) -> _Plan:
+    """Read the stream and refuse, before anything is written, jobs it cannot run.
+
+    The jobs differ in no setting that sizes the model or splits the stream, so
+    the first job's config stands for all of them.
+    """
+    stream, drift_source, inputs = _load_stream(args)
+    config = jobs[0][0]
+    warm, _ = split_validation(stream, config.validation_fraction)
+    width = len({e.activity for e in warm.events}) + 1  # as ``prepare`` builds it: warm-up activities plus padding
+    for strategy in dict.fromkeys(strategy for _, strategy, _, _ in jobs):
+        if strategy.needs_drift_info and drift_source is None:
+            raise ConfigurationError(
+                f"strategy {strategy.name!r} needs drift positions; provide a drift column, "
+                f"a .drifts sidecar, or --drifts"
+            )
+        model_cfg = config.model_config(strategy)
+        model_cfg.check_sizes(model_cfg.d_model(width), config.batch_size)
+    if not warm.events and any(validation_only for *_, validation_only in jobs):
+        raise ConfigurationError(
+            f"the validation split of a {len(stream)}-event stream at validation_fraction="
+            f"{config.validation_fraction} holds no events to score; raise it or use a longer stream"
+        )
+    return _Plan(stream, drift_source, inputs, jobs)
+
+
+def _run_plan(plan: _Plan, args, command: str, params: dict, workers: int = 1):
+    """Make the out folder and its manifest, run the jobs, and save each report that has
+    a subfolder. Returns the folder, the reports in job order, and the jobs' wall time."""
+    outdir = _prepare_outdir(Path(args.out), args.force, plan.inputs)
+    _write_manifest(outdir, command, {"stream": str(args.stream), **params})
+    t0 = time.perf_counter()
+    jobs = [(plan.stream, config, strategy, validation_only) for config, strategy, _, validation_only in plan.jobs]
+    reports = map_jobs(run_session, jobs, workers)
+    for (_, _, subfolder, _), report in zip(plan.jobs, reports):
+        if subfolder is not None:
+            report.save(outdir / subfolder)
+    return outdir, reports, time.perf_counter() - t0
 
 
 # -- gen ------------------------------------------------------------------------
@@ -282,22 +311,9 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     config = load_engine_config(args.config, args.set)
     strategy = _resolve_strategy(args.strategy)
-    stream, drift_source, inputs = _load_stream(args)
-    _require_drift_info(strategy.name, drift_source)
-    _check_model_size(stream, config, strategy)
-    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
-    _write_manifest(
-        outdir,
-        "run",
-        {
-            "stream": str(args.stream),
-            "strategy": strategy.name,
-            "drift_source": drift_source,
-            "engine": dataclasses.asdict(config),
-        },
-    )
-    report = run_session(stream, config, strategy)
-    report.save(outdir)
+    plan = _plan(args, [(config, strategy, "", False)])
+    params = {"strategy": strategy.name, "drift_source": plan.drift_source, "engine": dataclasses.asdict(config)}
+    outdir, (report,), _ = _run_plan(plan, args, "run", params)
     summary = report.summary()
     print(
         f"strategy={summary['strategy']} events={summary['events']} "
@@ -326,9 +342,6 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 def cmd_sweep(args) -> int:
     base = load_engine_config(args.config, args.set)
     strategy = _resolve_strategy(args.strategy)
-    stream, drift_source, inputs = _load_stream(args)
-    _require_drift_info(strategy.name, drift_source)
-    _check_model_size(stream, base, strategy)  # the grid leaves the model's size alone
     windows = _parse_list(args.window, int, "--window")
     buffers = _parse_list(args.buffer, int, "--buffer")
     thresholds = _parse_list(args.threshold, float, "--threshold")
@@ -338,23 +351,16 @@ def cmd_sweep(args) -> int:
         for window, buffer, threshold in itertools.product(windows, buffers, thresholds)
     ]
     configs = [dataclasses.replace(base, **params) for params in grid]  # validates each grid point
-    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
-    _write_manifest(
-        outdir,
-        "sweep",
-        {
-            "stream": str(args.stream),
-            "strategy": strategy.name,
-            "grid_size": len(grid),
-            "windows": windows,
-            "buffers": buffers,
-            "thresholds": thresholds,
-            "engine": dataclasses.asdict(base),
-        },
-    )
-    jobs = [(stream, config, strategy, True) for config in configs]
-    t0 = time.perf_counter()
-    reports = map_jobs(run_session, jobs, workers)
+    plan = _plan(args, [(config, strategy, None, True) for config in configs])
+    params = {
+        "strategy": strategy.name,
+        "grid_size": len(grid),
+        "windows": windows,
+        "buffers": buffers,
+        "thresholds": thresholds,
+        "engine": dataclasses.asdict(base),
+    }
+    outdir, reports, wall_time_s = _run_plan(plan, args, "sweep", params, workers)
     rows = [
         {"params": p, "average_accuracy": average_accuracy(r.records), "events": len(r.records)}
         for p, r in zip(grid, reports)
@@ -364,7 +370,7 @@ def cmd_sweep(args) -> int:
     aggregate = {
         "strategy": strategy.name,
         "evaluated_on": "validation_split",
-        "wall_time_s": time.perf_counter() - t0,
+        "wall_time_s": wall_time_s,
         "best": best,
         "grid": rows,
     }
@@ -387,11 +393,7 @@ def cmd_ablate(args) -> int:
         raise ConfigurationError("--conditions must name at least one condition")
     conditions = {}
     for name in names:
-        spec = ABLATION_CONDITIONS.get(name, STRATEGIES.get(name))
-        if spec is None:
-            raise ConfigurationError(
-                f"unknown condition {name!r}; choose from {sorted(set(ABLATION_CONDITIONS) | set(STRATEGIES))}"
-            )
+        spec = _resolve_strategy(name, "condition")
         for other, seen in conditions.items():
             if seen == spec:
                 raise ConfigurationError(f"--conditions {other!r} and {name!r} run the same strategy")
@@ -399,36 +401,24 @@ def cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
     configs = {seed: dataclasses.replace(base, seed=seed) for seed in seeds}  # validates each seed
     workers = worker_cap(args.workers)
-    stream, drift_source, inputs = _load_stream(args)
-    for strategy in conditions.values():
-        _require_drift_info(strategy.name, drift_source)
-        _check_model_size(stream, base, strategy)  # the seeds leave the model's size alone
-    outdir = _prepare_outdir(Path(args.out), args.force, inputs)
-    _write_manifest(
-        outdir,
-        "ablate",
-        {
-            "stream": str(args.stream),
-            "conditions": list(conditions),
-            "seeds": seeds,
-            "drift_source": drift_source,
-            "engine": dataclasses.asdict(base),
-        },
-    )
     keys = list(itertools.product(conditions, seeds))
-    jobs = [(stream, configs[seed], conditions[name]) for name, seed in keys]
-    t0 = time.perf_counter()
-    reports = map_jobs(run_session, jobs, workers)
+    plan = _plan(args, [(configs[seed], conditions[name], f"{name}/seed{seed}", False) for name, seed in keys])
+    params = {
+        "conditions": list(conditions),
+        "seeds": seeds,
+        "drift_source": plan.drift_source,
+        "engine": dataclasses.asdict(base),
+    }
+    outdir, reports, wall_time_s = _run_plan(plan, args, "ablate", params, workers)
 
-    per_condition: dict[str, list[RunReport]] = {name: [] for name in conditions}
-    for (name, seed), report in zip(keys, reports):
-        report.save(outdir / name / f"seed{seed}")
-        per_condition[name].append(report)
-    aggregate = {"seeds": seeds, "conditions": {}, "wall_time_s": time.perf_counter() - t0}
-    for name, reports in per_condition.items():
-        accs = [r.summary()["average_accuracy"] for r in reports]
-        deltas = [r.forgetting().mean_positive_delta for r in reports]
-        times = [r.summary()["time_per_event_ms"]["mean"] for r in reports]
+    per_condition: dict[str, list[dict]] = {name: [] for name in conditions}
+    for (name, _), report in zip(keys, reports):
+        per_condition[name].append(report.summary())
+    aggregate = {"seeds": seeds, "conditions": {}, "wall_time_s": wall_time_s}
+    for name, summaries in per_condition.items():
+        accs = [s["average_accuracy"] for s in summaries]
+        deltas = [s["mean_positive_delta"] for s in summaries]
+        times = [s["time_per_event_ms"]["mean"] for s in summaries]
         n = len(accs)
         mean = sum(accs) / n
         aggregate["conditions"][name] = {
@@ -591,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = sub.add_parser("ablate", help="run ablation conditions across seeds")
     add_run_common(ablate, with_strategy=False)
-    ablate.add_argument("--conditions", default="no_prompt,g_only,e_only,full")
+    ablate.add_argument("--conditions", default=",".join(ABLATION_CONDITIONS))
     ablate.add_argument("--seeds", default="1,2,3,4,5")
     ablate.add_argument("--workers", type=int, default=None)
     ablate.set_defaults(handler=cmd_ablate)

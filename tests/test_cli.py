@@ -217,6 +217,24 @@ def test_run_drift_info_requirements(gen_dir, tmp_path, capsys):
     assert code == 0
 
 
+def test_sweep_and_ablate_drift_info_requirements(gen_dir, tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    shutil.copyfile(gen_dir / "stream.csv", bare)
+    refused = [
+        ["sweep", "--strategy", "cnapwp", "--window", "30", "--buffer", "8", "--threshold", "0.6"],
+        ["ablate", "--conditions", "no_prompt,full", "--seeds", "3"],
+    ]
+    for argv in refused:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--stream", str(bare), "--out", str(out)] + FORWARD_ONLY) == 2, argv
+        assert "drift" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    code = main(["ablate", "--conditions", "no_prompt", "--seeds", "3", "--stream", str(bare),
+                 "--out", str(tmp_path / "o")] + FORWARD_ONLY)
+    assert code == 0
+
+
 @pytest.mark.parametrize("flag", [None, "--drifts", "--tasks"])
 def test_run_resolves_each_sidecar_on_its_own(gen_dir, tmp_path, monkeypatch, flag):
     """A flag replaces only its own sidecar; the other is still found beside the
@@ -268,12 +286,15 @@ def test_run_usage_errors_exit_2(gen_dir, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_memory_error_exits_3_with_one_line(gen_dir, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+def test_memory_error_exits_3_with_one_line(gen_dir, tmp_path, monkeypatch, capsys, command):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 224. GiB for an array with shape (8, 3750000000)")
 
     monkeypatch.setattr("cnapwp.cli.run_session", exhausted)
-    code = main(["run", "--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "out")] + FAST)
+    # A pool worker could not pickle the local stub, so sweep and ablate run their jobs in process.
+    workers = [] if command == "run" else ["--workers", "1"]
+    code = main([command, "--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "out")] + workers + FAST)
     assert code == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 224. GiB for an array with shape (8, 3750000000)\n"
@@ -553,6 +574,21 @@ def test_sweep_small_grid(gen_dir, capsys):
     assert best.max_len == 4  # non-swept overrides survive into best.ini
 
 
+def test_sweep_on_an_empty_validation_split_exits_2_before_the_folder(gen_dir, tmp_path, capsys):
+    """int(0.01 * 80) = 0 events to score: no best.ini can be chosen over them."""
+    flags = ["--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "out")] + FAST
+    flags += ["--set", "validation_fraction=0.01"]
+    grid = ["--strategy", "no_prompt", "--window", "30,20", "--buffer", "8", "--threshold", "0.6"]
+    assert main(["sweep", *grid, *flags]) == 2
+    err = assert_one_error_line(capsys)
+    assert "80-event" in err and "validation_fraction=0.01" in err
+    assert not (tmp_path / "out").exists()
+
+    # run and ablate measure the remainder, which is never empty.
+    assert main(["run", "--strategy", "no_prompt", *flags]) == 0
+    assert main(["ablate", "--conditions", "no_prompt", "--seeds", "3", "--force", *flags]) == 0
+
+
 # -- ablate -----------------------------------------------------------------------
 
 
@@ -625,6 +661,13 @@ def test_bad_grid_and_worker_values_exit_2(gen_dir, tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+MANIFEST_PARAMS = {
+    "run": ["stream", "strategy", "drift_source", "engine"],
+    "sweep": ["stream", "strategy", "grid_size", "windows", "buffers", "thresholds", "engine"],
+    "ablate": ["stream", "conditions", "seeds", "drift_source", "engine"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, threads",
     [
@@ -642,6 +685,9 @@ def test_manifest_names_what_produced_the_run(gen_dir, tmp_path, monkeypatch, ar
     assert main(argv + ["--stream", str(gen_dir / "stream.csv"), "--out", str(out)] + FAST) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == argv[0]
+    # The params keys as each command passes them; write_json sorts them in the file.
+    assert list(manifest["params"]) == sorted(MANIFEST_PARAMS[argv[0]])
+    assert manifest["params"]["stream"] == str(gen_dir / "stream.csv")
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
