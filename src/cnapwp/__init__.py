@@ -6,6 +6,15 @@ plus per-task and per-bucket expert prompts, with tasks recognized on the fly
 from drift signals via prefix-tree fingerprints.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: a product split over threads can
+# round differently, and records must not depend on the host's CPU count. The
+# variables are read when numpy loads, so a program that imported numpy first keeps its own count.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _variable in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_variable, "1")
+
 __version__ = "0.1.0"
 
 from .baselines import (

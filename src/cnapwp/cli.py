@@ -27,12 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARIABLES, __version__
 from .baselines import ABLATION_CONDITIONS, STRATEGIES, map_jobs, worker_cap
 from .engine import EngineConfig, run_session
 from .errors import ConfigurationError, NumericError, StreamParseError
 from .metrics import average_accuracy, forgetting_matrix, read_records_csv, rolling_accuracy_curve, write_json
 from .plots import accuracy_curve_svg, forgetting_heatmap_svg
+from .preprocessing import ActivityVocabulary
 from .stream import (
     DriftSchedule,
     GenerationReport,
@@ -50,22 +51,18 @@ SWEEP_WINDOWS = (250, 500, 1000)
 SWEEP_BUFFERS = (50, 100, 150)
 SWEEP_THRESHOLDS = (0.2, 0.4, 0.5, 0.6, 0.8)
 
-_TUPLE_KEYS = ("general_layers", "expert_layers")
-
 
 # -- configuration ------------------------------------------------------------
 
 
 def _coerce(key: str, text: str):
     text = text.strip()
+    default = getattr(EngineConfig(), key)
     try:
-        if key in _TUPLE_KEYS:
+        if isinstance(default, tuple):
             return tuple(int(t) for t in text.split(",") if t.strip())
         if key == "curve_window":
             return None if text.lower() in ("", "none") else int(text)
-        if key == "prompt_mode":
-            return text
-        default = getattr(EngineConfig(), key)
         return type(default)(text)
     except ValueError:
         raise ConfigurationError(f"cannot parse {text!r} for engine setting {key!r}") from None
@@ -110,7 +107,7 @@ def write_engine_ini(config: EngineConfig, path: Path) -> None:
     parser.add_section("engine")
     for f in dataclasses.fields(EngineConfig):
         value = getattr(config, f.name)
-        if f.name in _TUPLE_KEYS:
+        if isinstance(value, tuple):
             text = ",".join(str(v) for v in value)
         elif value is None:
             text = "none"
@@ -164,6 +161,7 @@ def _write_manifest(outdir: Path, command: str, params: dict) -> None:
         "blas": _blas(),
         "nproc": os.cpu_count() or 1,
         "CNAPWP_THREADS": os.environ.get("CNAPWP_THREADS"),
+        **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
     write_json(manifest, outdir / "manifest.json")
 
@@ -221,7 +219,7 @@ def _plan(args, jobs: list) -> _Plan:
     stream, drift_source, inputs = _load_stream(args)
     config = jobs[0][0]
     warm, _ = split_validation(stream, config.validation_fraction)
-    width = len({e.activity for e in warm.events}) + 1  # as ``prepare`` builds it: warm-up activities plus padding
+    width = ActivityVocabulary(e.activity for e in warm.events).width  # the width ``prepare`` builds
     for strategy in dict.fromkeys(strategy for _, strategy, _, _ in jobs):
         if strategy.needs_drift_info and drift_source is None:
             raise ConfigurationError(

@@ -29,9 +29,8 @@ from .metrics import (
     PredictionRecord,
     average_accuracy,
     forgetting_matrix,
-    latency_percentiles,
+    latency_summary,
     rolling_accuracy_curve,
-    time_per_event,
     write_accuracy_curve_csv,
     write_forgetting_csv,
     write_json,
@@ -359,8 +358,6 @@ class RunReport:
         return forgetting_matrix(self.records, self.drift_indices, self.task_labels)
 
     def summary(self) -> dict:
-        latencies = [r.latency_ns for r in self.records]
-        mean_ms, std_ms = time_per_event(latencies)
         matrix = self.forgetting()
         return {
             "strategy": self.strategy,
@@ -371,7 +368,7 @@ class RunReport:
             "segmentation": self.segmentation_source,
             "drift_indices": list(self.drift_indices),
             "task_labels": list(self.task_labels) if self.task_labels is not None else None,
-            "time_per_event_ms": {"mean": mean_ms, "std": std_ms, **latency_percentiles(latencies)},
+            "time_per_event_ms": latency_summary(r.latency_ns for r in self.records),
             "tasks": len(self.task_store.get("tasks", [])),
             "total_runtime_s": self.total_runtime_s,
             "config": asdict(self.config),

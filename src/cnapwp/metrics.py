@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,51 +93,50 @@ def segments_from_ground_truth(
 
 def segments_from_records(records: Sequence[PredictionRecord]) -> list[Segment]:
     """Runs of equal task_id in arrival order, occurrence-numbered per task."""
-    segments: list[Segment] = []
-    seen: dict[str, int] = {}
-    start = 0
-    for i in range(1, len(records) + 1):
-        if i == len(records) or records[i].task_id != records[start].task_id:
-            label = str(records[start].task_id)
-            seen[label] = seen.get(label, 0) + 1
-            segments.append(Segment(label, seen[label], start, i))
-            start = i
-    return segments
-
-
-def segment_accuracy(records: Sequence[PredictionRecord], segment: Segment) -> float:
-    span = records[segment.start : segment.end]
-    if not span:
-        return 0.0
-    return sum(1 for r in span if r.correct) / len(span)
+    if not records:
+        return []
+    starts = [i for i in range(1, len(records)) if records[i].task_id != records[i - 1].task_id]
+    return segments_from_ground_truth(len(records), starts, [str(records[i].task_id) for i in (0, *starts)])
 
 
 # -- forgetting ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForgettingMatrix:
-    """Per-(task, occurrence) accuracies with first-occurrence deltas."""
+    """Per-(task, occurrence) accuracies in segment order; every other view derives from them."""
 
-    tasks: tuple[str, ...]
-    accuracies: dict[tuple[str, int], float] = field(default_factory=dict)
-    deltas: dict[tuple[str, int], float] = field(default_factory=dict)
+    accuracies: dict[tuple[str, int], float]
+
+    @property
+    def tasks(self) -> tuple[str, ...]:
+        """Tasks in first-seen order."""
+        return tuple(dict.fromkeys(task for task, _ in self.accuracies))
+
+    @property
+    def deltas(self) -> dict[tuple[str, int], float]:
+        """Each cell's task's first-occurrence accuracy minus its own."""
+        return {(task, occ): self.accuracies[(task, 1)] - acc for (task, occ), acc in self.accuracies.items()}
 
     @property
     def max_occurrence(self) -> int:
         return max((occ for _, occ in self.accuracies), default=0)
 
     @property
+    def cells(self) -> list[tuple[str, int]]:
+        """Every (task, occurrence), tasks in first-seen order, occurrences ascending."""
+        order = {task: i for i, task in enumerate(self.tasks)}
+        return sorted(self.accuracies, key=lambda cell: (order[cell[0]], cell[1]))
+
+    @property
     def revisit_cells(self) -> list[tuple[str, int]]:
-        return sorted((k for k in self.deltas if k[1] >= 2), key=lambda k: (self.tasks.index(k[0]), k[1]))
+        return [cell for cell in self.cells if cell[1] >= 2]
 
     @property
     def mean_positive_delta(self) -> float:
         """Average forgetting over revisits, clamping improvement to zero."""
-        cells = self.revisit_cells
-        if not cells:
-            return 0.0
-        return sum(max(self.deltas[c], 0.0) for c in cells) / len(cells)
+        cells, deltas = self.revisit_cells, self.deltas
+        return sum(max(deltas[c], 0.0) for c in cells) / len(cells) if cells else 0.0
 
 
 def forgetting_matrix(
@@ -150,70 +149,53 @@ def forgetting_matrix(
         segments = segments_from_ground_truth(len(records), drift_indices or (), task_labels)
     else:
         segments = segments_from_records(records)
-    tasks: list[str] = []
-    matrix = ForgettingMatrix(tasks=())
-    for seg in segments:
-        if seg.task not in tasks:
-            tasks.append(seg.task)
-        acc = segment_accuracy(records, seg)
-        matrix.accuracies[(seg.task, seg.occurrence)] = acc
-    matrix.tasks = tuple(tasks)
-    for (task, occ), acc in matrix.accuracies.items():
-        matrix.deltas[(task, occ)] = matrix.accuracies[(task, 1)] - acc
-    return matrix
+    return ForgettingMatrix({(s.task, s.occurrence): average_accuracy(records[s.start : s.end]) for s in segments})
 
 
 # -- timing -------------------------------------------------------------------
 
 
-def time_per_event(latencies_ns: Iterable[int]) -> tuple[float, float]:
-    """(mean, population std) of per-event processing time in milliseconds."""
-    ms = np.fromiter((t / 1e6 for t in latencies_ns), dtype=np.float64)
-    if len(ms) == 0:
-        return 0.0, 0.0
-    return float(ms.mean()), float(ms.std(ddof=0))
-
-
-def latency_percentiles(latencies_ns: Iterable[int]) -> dict[str, float]:
-    """Median, 99th percentile and maximum of per-event processing time in
-    milliseconds; the mean hides the rare update stalls.
+def latency_summary(latencies_ns: Iterable[int]) -> dict[str, float]:
+    """Mean, population std, median, 99th percentile and maximum of per-event
+    processing time in milliseconds; the mean hides the rare update stalls.
 
     Percentiles interpolate linearly between order statistics, as
     ``np.percentile`` does by default; that function is not called because it
     imports ``numpy.ma``, about 2 MiB of resident memory for two numbers.
     """
-    ms = np.sort(np.fromiter((t / 1e6 for t in latencies_ns), dtype=np.float64))
+    ms = np.fromiter((t / 1e6 for t in latencies_ns), dtype=np.float64)
     if len(ms) == 0:
-        return {"p50": 0.0, "p99": 0.0, "max": 0.0}
+        return dict.fromkeys(("mean", "std", "p50", "p99", "max"), 0.0)
+    ordered = np.sort(ms)
 
     def at(q: float) -> float:
-        pos = q * (len(ms) - 1)
+        pos = q * (len(ordered) - 1)
         lo = math.floor(pos)
-        hi = min(lo + 1, len(ms) - 1)
-        return float(ms[lo] + (ms[hi] - ms[lo]) * (pos - lo))
+        hi = min(lo + 1, len(ordered) - 1)
+        return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
 
-    return {"p50": at(0.50), "p99": at(0.99), "max": float(ms[-1])}
+    mean, std = float(ms.mean()), float(ms.std(ddof=0))
+    return {"mean": mean, "std": std, "p50": at(0.50), "p99": at(0.99), "max": float(ordered[-1])}
 
 
 # -- csv ----------------------------------------------------------------------
 
 
-def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
+def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows in the one dialect of every run-folder CSV: UTF-8, ``\\n`` line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                (r.index, r.case_id, r.y, r.y_hat, int(r.correct), r.task_id, int(r.buffering))
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_records_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
+    rows = ((r.index, r.case_id, r.y, r.y_hat, int(r.correct), r.task_id, int(r.buffering)) for r in records)
+    _write_csv(path, RECORD_COLUMNS, rows)
 
 
 def write_timings_csv(records: Sequence[PredictionRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("index", "latency_ns"))
-        for r in records:
-            writer.writerow((r.index, r.latency_ns))
+    _write_csv(path, ("index", "latency_ns"), ((r.index, r.latency_ns) for r in records))
 
 
 def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
@@ -253,29 +235,13 @@ def read_records_csv(path: str | os.PathLike) -> list[PredictionRecord]:
 
 
 def write_forgetting_csv(matrix: ForgettingMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("task", "occurrence", "delta", "accuracy_first", "accuracy_this"))
-        for task in matrix.tasks:
-            occs = sorted(occ for t, occ in matrix.accuracies if t == task)
-            for occ in occs:
-                writer.writerow(
-                    (
-                        task,
-                        occ,
-                        f"{matrix.deltas[(task, occ)]:.6f}",
-                        f"{matrix.accuracies[(task, 1)]:.6f}",
-                        f"{matrix.accuracies[(task, occ)]:.6f}",
-                    )
-                )
+    acc, deltas = matrix.accuracies, matrix.deltas
+    rows = ((t, occ, f"{deltas[t, occ]:.6f}", f"{acc[t, 1]:.6f}", f"{acc[t, occ]:.6f}") for t, occ in matrix.cells)
+    _write_csv(path, ("task", "occurrence", "delta", "accuracy_first", "accuracy_this"), rows)
 
 
 def write_accuracy_curve_csv(curve: np.ndarray, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("index", "accuracy"))
-        for i, acc in enumerate(curve):
-            writer.writerow((i, f"{acc:.6f}"))
+    _write_csv(path, ("index", "accuracy"), ((i, f"{acc:.6f}") for i, acc in enumerate(curve)))
 
 
 # -- json ---------------------------------------------------------------------

@@ -93,10 +93,11 @@ def forgetting_heatmap_svg(
 ) -> None:
     """Tasks by occurrence grid of accuracy deltas; empty cells are revisits that never happened."""
     cell_w, cell_h, left, top = 86, 40, 150, 70
+    tasks, deltas = matrix.tasks, matrix.deltas
     occs = max(matrix.max_occurrence, 1)
     width = left + cell_w * occs + 30
-    height = top + cell_h * max(len(matrix.tasks), 1) + 30
-    scale = max((abs(d) for d in matrix.deltas.values()), default=0.0) or 1e-9
+    height = top + cell_h * max(len(tasks), 1) + 30
+    scale = max((abs(d) for d in deltas.values()), default=0.0) or 1e-9
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -107,7 +108,7 @@ def forgetting_heatmap_svg(
         parts.append(
             f'<text x="{x}" y="{top - 10}" text-anchor="middle" font-size="12" {FONT}>occ {j + 1}</text>'
         )
-    for i, task in enumerate(matrix.tasks):
+    for i, task in enumerate(tasks):
         y = top + cell_h * i
         parts.append(
             f'<text x="{left - 10}" y="{y + cell_h / 2 + 4}" text-anchor="end" font-size="12" {FONT}>{_esc(task)}</text>'
@@ -115,8 +116,8 @@ def forgetting_heatmap_svg(
         for j in range(occs):
             key = (task, j + 1)
             x = left + cell_w * j
-            if key in matrix.deltas:
-                delta = matrix.deltas[key]
+            if key in deltas:
+                delta = deltas[key]
                 fill = _heat_color(delta, scale)
                 label = f"{delta * 100:+.2f}"
             else:

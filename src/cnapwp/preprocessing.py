@@ -58,7 +58,6 @@ class ActivityVocabulary:
 class Prefix:
     """A case's recent in-window activity indices, left padded to max_len."""
 
-    case_id: str
     activities: tuple[int, ...]
     effective_len: int
 
@@ -100,7 +99,7 @@ def build_prefix(event: Event, window, vocab: ActivityVocabulary, max_len: int) 
     recent = window.activities_for_case(event.case_id)[-max_len:]
     indices = tuple(vocab.intern(a) for a in recent)
     padded = (PAD_INDEX,) * (max_len - len(indices)) + indices
-    return Prefix(event.case_id, padded, len(indices))
+    return Prefix(padded, len(indices))
 
 
 def encode(

@@ -694,6 +694,9 @@ def test_manifest_names_what_produced_the_run(gen_dir, tmp_path, monkeypatch, ar
     assert manifest["blas"] == f"{blas['name']} {blas['version']}"
     assert manifest["nproc"] == os.cpu_count()
     assert manifest["CNAPWP_THREADS"] == threads
+    # each BLAS thread variable as the run saw it; importing cnapwp sets an unset one to "1"
+    for name in cnapwp.BLAS_THREAD_VARIABLES:
+        assert manifest[name] == os.environ[name]
 
 
 def test_ablate_unknown_condition_exits_2(gen_dir, tmp_path, capsys):

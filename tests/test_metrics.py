@@ -11,13 +11,11 @@ from cnapwp.metrics import (
     Segment,
     average_accuracy,
     forgetting_matrix,
-    latency_percentiles,
+    latency_summary,
     read_records_csv,
     rolling_accuracy_curve,
-    segment_accuracy,
     segments_from_ground_truth,
     segments_from_records,
-    time_per_event,
     write_accuracy_curve_csv,
     write_forgetting_csv,
     write_records_csv,
@@ -86,7 +84,7 @@ def test_segments_from_ground_truth(metrics_fixture):
         Segment("C", 1, 12, 16),
         Segment("A", 3, 16, 20),
     ]
-    assert [segment_accuracy(records, s) for s in segments] == [0.75, 0.5, 0.25, 0.75, 0.75]
+    assert [average_accuracy(records[s.start : s.end]) for s in segments] == [0.75, 0.5, 0.25, 0.75, 0.75]
 
 
 def test_segments_from_ground_truth_label_count():
@@ -102,6 +100,25 @@ def test_segments_from_records_oracle():
         Segment("1", 2, 4, 5),
     ]
     assert segments_from_records([]) == []
+
+
+def run_loop_segments(records):
+    """The per-record loop ``segments_from_records`` replaced, kept as its reference."""
+    segments, seen, start = [], {}, 0
+    for i in range(1, len(records) + 1):
+        if i == len(records) or records[i].task_id != records[start].task_id:
+            label = str(records[start].task_id)
+            seen[label] = seen.get(label, 0) + 1
+            segments.append(Segment(label, seen[label], start, i))
+            start = i
+    return segments
+
+
+@settings(max_examples=100, deadline=None)
+@given(task_ids=st.lists(st.integers(1, 3), max_size=40))
+def test_segments_from_records_matches_the_run_loop(task_ids):
+    records = scripted_records((1,) * len(task_ids), task_ids=task_ids)
+    assert segments_from_records(records) == run_loop_segments(records)
 
 
 def test_forgetting_matrix_oracle(metrics_fixture):
@@ -162,33 +179,34 @@ def test_forgetting_matrix_empty():
 
 
 def test_mean_positive_delta_clamps_gains():
-    matrix = ForgettingMatrix(tasks=("A",))
-    matrix.accuracies = {("A", 1): 0.5, ("A", 2): 0.9, ("A", 3): 0.1}
-    matrix.deltas = {("A", 1): 0.0, ("A", 2): -0.4, ("A", 3): 0.4}
+    matrix = ForgettingMatrix({("A", 1): 0.5, ("A", 2): 0.9, ("A", 3): 0.1})
+    assert (matrix.tasks, matrix.deltas) == (("A",), {("A", 1): 0.0, ("A", 2): pytest.approx(-0.4), ("A", 3): 0.4})
     assert matrix.revisit_cells == [("A", 2), ("A", 3)]
     assert matrix.mean_positive_delta == pytest.approx(0.2, abs=1e-12)
 
 
 def test_time_per_event_oracle():
-    mean_ms, std_ms = time_per_event([1_000_000, 3_000_000])
-    assert mean_ms == pytest.approx(2.0, abs=1e-12)
-    assert std_ms == pytest.approx(1.0, abs=1e-12)  # population std
-    assert time_per_event([]) == (0.0, 0.0)
+    stats = latency_summary([1_000_000, 3_000_000])
+    assert stats["mean"] == pytest.approx(2.0, abs=1e-12)
+    assert stats["std"] == pytest.approx(1.0, abs=1e-12)  # population std
+    assert latency_summary([]) == {"mean": 0.0, "std": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
 
 
 def test_latency_percentiles_oracle():
     # 1, 2, 3, 4, 100 ms: the median is the middle value; the 99th percentile
     # sits at position 0.99 * 4 = 3.96, so 4 + 0.96 * (100 - 4) = 96.16.
-    stats = latency_percentiles([1_000_000, 4_000_000, 100_000_000, 2_000_000, 3_000_000])
+    stats = latency_summary([1_000_000, 4_000_000, 100_000_000, 2_000_000, 3_000_000])
     assert stats["p50"] == pytest.approx(3.0, abs=1e-12)
     assert stats["p99"] == pytest.approx(96.16, abs=1e-9)
     assert stats["max"] == pytest.approx(100.0, abs=1e-12)
-    assert latency_percentiles([]) == {"p50": 0.0, "p99": 0.0, "max": 0.0}
-    assert latency_percentiles([5_000_000]) == {"p50": 5.0, "p99": 5.0, "max": 5.0}
-    # The interpolation is numpy's default percentile method.
+    assert latency_summary([5_000_000]) == {"mean": 5.0, "std": 0.0, "p50": 5.0, "p99": 5.0, "max": 5.0}
+    # The interpolation is numpy's default percentile method; mean and std are
+    # over all latencies, whatever their order.
     latencies = np.random.default_rng(3).integers(1, 10**9, 7650)
-    stats = latency_percentiles(latencies.tolist())
-    assert [stats["p50"], stats["p99"]] == pytest.approx(np.percentile(latencies / 1e6, (50, 99)), rel=1e-12)
+    stats = latency_summary(latencies.tolist())
+    ms = latencies / 1e6
+    assert [stats["p50"], stats["p99"]] == pytest.approx(np.percentile(ms, (50, 99)), rel=1e-12)
+    assert [stats["mean"], stats["std"]] == pytest.approx([ms.mean(), ms.std()], rel=1e-12)
 
 
 def test_records_csv_roundtrip(tmp_path, metrics_fixture):

@@ -7,7 +7,11 @@ are checked against numpy's own reductions on both sides of the row count at
 which they switch method.
 """
 import copy
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
+from cnapwp import BLAS_THREAD_VARIABLES
 from cnapwp.model import (
     COLUMN_LOOP_MIN_ROWS,
     DENSE_BLOCK_BYTES,
@@ -147,6 +152,40 @@ def test_update_pass_allocates_no_full_size_dense_gradient():
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * model.dense_w.value.nbytes, (peak - start, model.dense_w.value.nbytes)
+
+
+# Imports cnapwp before numpy, as a program using the package does, then runs one
+# update pass at the wide-prefix benchmark's shapes and prints the trained
+# parameters' digest and the pass's time.
+THREAD_CHILD = """
+import cnapwp
+import hashlib, time
+import numpy as np
+from test_model_bit_identity import BATCH, PREFIX_MODE, all_parameters, build, samples, train_window
+model, general, expert = build(PREFIX_MODE, (1,), input_width=49)
+chunk = samples(np.random.default_rng(7), 250, model.input_width, model.n_classes)
+batches = [(1, [chunk[i : i + BATCH] for i in range(0, 250, BATCH)])]
+start = time.perf_counter()
+train_window(model, batches, 1, 0.1, (general, expert), np.random.default_rng(9))
+elapsed = time.perf_counter() - start
+print(hashlib.sha256(b"".join(p.value.tobytes() for p in all_parameters(model, general, expert))).hexdigest(), elapsed)
+"""
+
+
+def test_importing_cnapwp_pins_one_blas_thread():
+    # With the thread variables unset, OpenBLAS would use every CPU, and a product
+    # split over threads can round differently; on a one-CPU host both runs use one thread.
+    here = Path(__file__).resolve().parent
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    unset["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = []
+    for env in (unset, {**unset, **dict.fromkeys(BLAS_THREAD_VARIABLES, "1")}):
+        child = subprocess.run([sys.executable, "-c", THREAD_CHILD], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        digest, elapsed = child.stdout.split()
+        runs.append(digest)
+        assert float(elapsed) < 1.0, (env.get("OPENBLAS_NUM_THREADS"), elapsed)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

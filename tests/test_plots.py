@@ -1,7 +1,7 @@
 """SVG emission: well-formed markup with the expected primitives."""
 import xml.etree.ElementTree as ET
 
-from cnapwp.metrics import forgetting_matrix
+from cnapwp.metrics import ForgettingMatrix, forgetting_matrix
 from cnapwp.plots import accuracy_curve_svg, forgetting_heatmap_svg
 
 from conftest import METRICS_DRIFTS, METRICS_LABELS, METRICS_HITS, scripted_records
@@ -69,11 +69,8 @@ def test_heatmap_cells_and_signed_labels(tmp_path):
 
 
 def test_heatmap_escapes_task_names(tmp_path):
-    records = scripted_records((1, 0, 1, 1), task_ids=[1, 1, 2, 2])
-    matrix = forgetting_matrix(records)
-    matrix.tasks = ("x&y",)
-    matrix.accuracies = {("x&y", 1): 1.0}
-    matrix.deltas = {("x&y", 1): 0.0}
+    matrix = ForgettingMatrix({("x&y", 1): 1.0})
+    assert (matrix.tasks, matrix.deltas) == (("x&y",), {("x&y", 1): 0.0})
     path = tmp_path / "heat.svg"
     forgetting_heatmap_svg(matrix, path)
     assert "x&amp;y" in path.read_text()

@@ -105,7 +105,7 @@ def _samples_with_lengths(lengths, bucket_config):
     vocab = ActivityVocabulary(["a"])
     out = []
     for n in lengths:
-        prefix = Prefix("c", (PAD_INDEX,) * (8 - n) + (1,) * n, n)
+        prefix = Prefix((PAD_INDEX,) * (8 - n) + (1,) * n, n)
         out.append(encode(prefix, "a", vocab, bucket_config))
     return out
 
