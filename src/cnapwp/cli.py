@@ -50,6 +50,11 @@ from .synthetic import builtin_processes, sample_pool
 SWEEP_WINDOWS = (250, 500, 1000)
 SWEEP_BUFFERS = (50, 100, 150)
 SWEEP_THRESHOLDS = (0.2, 0.4, 0.5, 0.6, 0.8)
+# gen's size caps. The generator holds ~120 bytes per event and makes ~30k events/s,
+# so a stream at the cap takes ~1.2 GB and ~6 minutes; each open case and pool trace is held too.
+GEN_MAX_EVENTS = 10**7
+GEN_MAX_CONCURRENCY = 10**5
+GEN_MAX_POOL_SIZE = 10**6
 
 
 # -- configuration ------------------------------------------------------------
@@ -256,7 +261,10 @@ def _run_plan(plan: _Plan, args, command: str, params: dict, workers: int = 1):
 def cmd_gen(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-    builtin = builtin_processes()
+    base = Path(args.out)
+    if base.suffix == ".csv":
+        base = base.with_suffix("")
+    targets = [base.with_suffix(".csv"), base.with_suffix(".drifts"), base.with_suffix(".tasks")]
     specs = []
     for spec in args.pool:
         if "=" not in spec:
@@ -264,11 +272,24 @@ def cmd_gen(args) -> int:
         name, path = (part.strip() for part in spec.split("=", 1))
         if Path(path).is_dir():
             raise ConfigurationError(f"--pool {name}={path} is a directory, not a file")
+        for target in targets:
+            if Path(path).resolve() == target.resolve():
+                raise ConfigurationError(f"--pool {name}={path} is the output {target}; choose another --out")
         specs.append((name, path))
-    pools = {name: load_concept_pool(path) for name, path in specs}
     names = [n.strip() for n in args.concepts.split(",") if n.strip()]
     if not names:
         raise ConfigurationError("--concepts must name at least one concept")
+    if max(args.segment, 1) * max(args.occurrences, 0) * len(names) > GEN_MAX_EVENTS:
+        raise ConfigurationError(
+            f"--segment {args.segment} x --occurrences {args.occurrences} x {len(names)} concepts "
+            f"is above the cap of {GEN_MAX_EVENTS} events"
+        )
+    for flag, value, cap in (("--concurrency", args.concurrency, GEN_MAX_CONCURRENCY),
+                             ("--pool-size", args.pool_size, GEN_MAX_POOL_SIZE)):
+        if value > cap:
+            raise ConfigurationError(f"{flag} {value} is above the cap of {cap}")
+    pools = {name: load_concept_pool(path) for name, path in specs}
+    builtin = builtin_processes()
     for name in names:
         if name in pools:
             continue
@@ -283,11 +304,7 @@ def cmd_gen(args) -> int:
     report = GenerationReport()
     stream = generate_drift_stream(pools, schedule, seed=args.seed, concurrency=args.concurrency, report=report)
 
-    base = Path(args.out)
-    if base.suffix == ".csv":
-        base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    targets = [base.with_suffix(".csv"), base.with_suffix(".drifts"), base.with_suffix(".tasks")]
     clashes = [t for t in targets if t.exists()]
     if clashes and not args.force:
         raise ConfigurationError(f"output exists: {clashes[0]}; pass --force to overwrite")

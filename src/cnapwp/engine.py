@@ -47,6 +47,7 @@ from .model import (
     train_window,
 )
 from .preprocessing import ActivityVocabulary, BucketConfig, EncodedSample, build_prefix, encode, fit_buckets
+from .preprocessing import prefix_length
 from .stream import Event, EventStream, split_validation
 from .task_recognition import PrefixTree, TaskRecord, build_from_buffer, match_task
 from .window import SlidingWindow, partition_batches
@@ -174,10 +175,8 @@ class OnlineEngine:
         histogram: Counter[int] = Counter()
         probe = SlidingWindow(self.config.window_size)
         for event in stream.events:
-            prefix = build_prefix(event, probe, self.vocab, self.config.max_len)
-            histogram[prefix.effective_len] += 1
-            self.vocab.intern(event.activity)
-            probe.push(event)
+            histogram[prefix_length(build_prefix(event.case_id, probe, self.config.max_len))] += 1
+            probe.push(event.case_id, self.vocab.intern(event.activity))
         if histogram:
             self.bucket_config = fit_buckets(histogram, self.config.buckets, self.config.max_len)
         else:
@@ -223,7 +222,7 @@ class OnlineEngine:
             self.buffer.append(event)
 
         # Test: the case's in-window history is the prefix, this activity the target.
-        prefix = build_prefix(event, self.window, self.vocab, cfg.max_len)
+        prefix = build_prefix(event.case_id, self.window, cfg.max_len)
         sample = encode(prefix, event.activity, self.vocab, self.bucket_config)
         if self.vocab.width > self.model.input_width:
             self._grow()
@@ -242,7 +241,7 @@ class OnlineEngine:
 
         # Train: the sample joins the window (and any longer memory) before the
         # update check, so the event that completes a window trains too.
-        self.window.push(event, sample)
+        self.window.push(event.case_id, sample.target, sample)
         if strat.training_memory != WINDOW_MEMORY:
             self._memory.append(sample)
         self.events_seen += 1

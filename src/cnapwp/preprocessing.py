@@ -1,10 +1,10 @@
 """Prefix construction, sample encoding, and prefix-length bucketing.
 
 Activity index 0 is the padding token and is never assigned to a real
-activity. A prefix holds the in-window history of a case, left padded to
-``max_len``. Buckets group prefixes by length: bucket 1 holds only empty
-prefixes, the rest partition lengths >= 1 at quantile boundaries fitted once
-on a validation histogram.
+activity. A prefix is a tuple of the activity indices of a case's in-window
+history, left padded to ``max_len``. Buckets group prefixes by length:
+bucket 1 holds only empty prefixes, the rest partition lengths >= 1 at
+quantile boundaries fitted once on a validation histogram.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError
-from .stream import Event
 
 log = logging.getLogger(__name__)
 
@@ -55,14 +54,6 @@ class ActivityVocabulary:
 
 
 @dataclass(frozen=True)
-class Prefix:
-    """A case's recent in-window activity indices, left padded to max_len."""
-
-    activities: tuple[int, ...]
-    effective_len: int
-
-
-@dataclass(frozen=True)
 class EncodedSample:
     """Model-ready sample: left-padded activity indices, ordinal target, bucket id.
 
@@ -92,18 +83,20 @@ class BucketConfig:
         return tuple(range(1, len(self.boundaries) + 1))
 
 
-def build_prefix(event: Event, window, vocab: ActivityVocabulary, max_len: int) -> Prefix:
-    """Collect the case's prior activities in a SlidingWindow, keeping the most
-    recent max_len. A case with no prior events in the window yields an
-    all-padding prefix."""
-    recent = window.activities_for_case(event.case_id)[-max_len:]
-    indices = tuple(vocab.intern(a) for a in recent)
-    padded = (PAD_INDEX,) * (max_len - len(indices)) + indices
-    return Prefix(padded, len(indices))
+def build_prefix(case_id: str, window, max_len: int) -> tuple[int, ...]:
+    """The case's most recent max_len activity indices in a SlidingWindow, left
+    padded. A case with no prior events in the window yields all padding."""
+    recent = window.activities_for_case(case_id)[-max_len:]
+    return (PAD_INDEX,) * (max_len - len(recent)) + recent
+
+
+def prefix_length(prefix: tuple[int, ...]) -> int:
+    """The count of real activities in a padded prefix; no activity has index PAD_INDEX."""
+    return len(prefix) - prefix.count(PAD_INDEX)
 
 
 def encode(
-    prefix: Prefix,
+    prefix: tuple[int, ...],
     target_activity: str,
     vocab: ActivityVocabulary,
     bucket_config: BucketConfig,
@@ -114,7 +107,7 @@ def encode(
     width can outgrow the model's: the caller compares the two and widens it.
     """
     target = vocab.intern(target_activity)
-    return EncodedSample(prefix.activities, target, assign_bucket(prefix.effective_len, bucket_config))
+    return EncodedSample(prefix, target, assign_bucket(prefix_length(prefix), bucket_config))
 
 
 def fit_buckets(length_histogram: Mapping[int, int], bucket_count: int, max_len: int) -> BucketConfig:

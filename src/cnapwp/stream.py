@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -121,12 +122,13 @@ def parse_event_log(source: str | os.PathLike | IO[str]) -> EventStream:
     ``LOG_COLUMNS`` are discarded.
     """
     if hasattr(source, "read"):
-        return _parse_rows(csv.reader(source))
+        return EventStream(*_parse_rows(csv.reader(source)))
     with _open_text(source) as fh:
-        return _parse_rows(csv.reader(fh))
+        return EventStream(*_parse_rows(csv.reader(fh)))
 
 
-def _parse_rows(reader) -> EventStream:
+def _parse_rows(reader) -> tuple[tuple[Event, ...], tuple[int, ...]]:
+    """The rows as (events, drift positions from the drift column)."""
     try:
         header = next(reader)
     except StopIteration:
@@ -169,7 +171,7 @@ def _parse_rows(reader) -> EventStream:
     kept.sort(key=lambda r: r[0])  # stable: equal timestamps keep file order
     events = tuple(ev for _, ev, _ in kept)
     drifts = tuple(i for i, (_, _, flag) in enumerate(kept) if flag and i > 0)
-    return EventStream(events, drifts)
+    return events, drifts
 
 
 def load_drift_indices(path: str | os.PathLike) -> tuple[int, ...]:
@@ -204,16 +206,13 @@ def parse_stream_with_sidecars(
     None when no drift information was provided at all. A sidecar overrides any
     drift column.
     """
-    stream = parse_event_log(csv_path)
-    source = "column" if stream.drift_indices else None
+    with _open_text(csv_path) as fh:
+        events, drifts = _parse_rows(csv.reader(fh))
+    source = "column" if drifts else None
     if drifts_path is not None:
-        drifts = load_drift_indices(drifts_path)
-        stream = EventStream(stream.events, drifts, None)
-        source = "sidecar"
+        drifts, source = load_drift_indices(drifts_path), "sidecar"
     labels = load_task_labels(tasks_path) if tasks_path is not None else None
-    if labels is not None:
-        stream = EventStream(stream.events, stream.drift_indices, labels)
-    return stream, source
+    return EventStream(events, drifts, labels), source
 
 
 def write_event_log(stream: EventStream, path: str | os.PathLike) -> None:
@@ -271,11 +270,12 @@ def generate_drift_stream(
     """
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
-    for concept in schedule.concept_order:
-        pool = concept_pools.get(concept)
-        if pool is None:
+    pools = dict.fromkeys(schedule.concept_order)  # each scheduled concept's non-empty traces
+    for concept in pools:
+        if concept_pools.get(concept) is None:
             raise ConfigurationError(f"concept {concept!r} missing from pools")
-        if not any(len(t) for t in pool):
+        pools[concept] = [t for t in concept_pools[concept] if len(t)]
+        if not pools[concept]:
             raise ConfigurationError(f"concept {concept!r} has no non-empty traces")
 
     rng = np.random.default_rng(seed)
@@ -284,17 +284,16 @@ def generate_drift_stream(
     case_counter = 0
 
     for concept in schedule.concept_order:
-        pool = [list(t) for t in concept_pools[concept] if len(t)]
-        active: list[tuple[str, list[str]]] = []
+        pool = pools[concept]
+        active: list[tuple[str, deque[str]]] = []
         emitted = 0
         while emitted < schedule.segment_length:
             while len(active) < concurrency:
-                trace = list(pool[int(rng.integers(len(pool)))])
-                active.append((f"c{case_counter}", trace))
+                active.append((f"c{case_counter}", deque(pool[int(rng.integers(len(pool)))])))
                 case_counter += 1
             pick = int(rng.integers(len(active)))
             case_id, remaining = active[pick]
-            events.append(Event(case_id, remaining.pop(0)))
+            events.append(Event(case_id, remaining.popleft()))
             emitted += 1
             if not remaining:
                 active.pop(pick)

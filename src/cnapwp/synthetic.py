@@ -31,18 +31,13 @@ class ProcessSpec:
             raise ConfigurationError(f"process {self.name!r} has an empty variant")
 
 
-def sample_trace(spec: ProcessSpec, rng: np.random.Generator) -> tuple[str, ...]:
-    weights = np.array([w for w, _ in spec.variants])
-    i = int(rng.choice(len(spec.variants), p=weights))
-    return spec.variants[i][1]
-
-
 def sample_pool(spec: ProcessSpec, n_traces: int, seed: int) -> list[tuple[str, ...]]:
-    """Draw a fixed pool of traces for one concept."""
+    """Draw a fixed pool of traces for one concept, each a weighted draw of one variant."""
     if n_traces < 1:
         raise ConfigurationError("n_traces must be >= 1")
     rng = np.random.default_rng([seed, zlib.crc32(spec.name.encode("utf-8"))])
-    return [sample_trace(spec, rng) for _ in range(n_traces)]
+    weights = np.array([w for w, _ in spec.variants])
+    return [spec.variants[int(rng.choice(len(spec.variants), p=weights))][1] for _ in range(n_traces)]
 
 
 def builtin_processes() -> dict[str, ProcessSpec]:
@@ -117,13 +112,7 @@ def builtin_processes() -> dict[str, ProcessSpec]:
     return {"pipeline": pipeline, "expedite": expedite, "review_loop": review_loop}
 
 
-def pool_as_stream(traces: list[tuple[str, ...]], case_prefix: str = "p") -> EventStream:
-    events = []
-    for i, trace in enumerate(traces):
-        case = f"{case_prefix}{i}"
-        events.extend(Event(case, act) for act in trace)
-    return EventStream(tuple(events))
-
-
 def write_pool_csv(path: str | os.PathLike, traces: list[tuple[str, ...]]) -> None:
-    write_event_log(pool_as_stream(traces), path)
+    """Write the traces as an event log, trace i as case ``p<i>``."""
+    events = tuple(Event(f"p{i}", act) for i, trace in enumerate(traces) for act in trace)
+    write_event_log(EventStream(events), path)

@@ -1,39 +1,38 @@
-"""FIFO sliding window over (event, sample) pairs, with per-case histories."""
+"""FIFO sliding window over (case, sample) pairs, with per-case activity-index histories."""
 from __future__ import annotations
 
 from collections import deque
 
 from .errors import ConfigurationError
 from .preprocessing import EncodedSample
-from .stream import Event
 
 
 class SlidingWindow:
-    """Keeps the newest ``capacity`` events and each case's activities among them."""
+    """Keeps the newest ``capacity`` events and each case's activity indices among them."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigurationError("window capacity must be >= 1")
         self.capacity = capacity
-        self._buffer: deque[tuple[Event, EncodedSample | None]] = deque()
-        self._by_case: dict[str, deque[str]] = {}
+        self._buffer: deque[tuple[str, EncodedSample | None]] = deque()
+        self._by_case: dict[str, deque[int]] = {}
 
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def push(self, event: Event, sample: EncodedSample | None = None) -> None:
-        self._buffer.append((event, sample))
-        self._by_case.setdefault(event.case_id, deque()).append(event.activity)
+    def push(self, case_id: str, activity: int, sample: EncodedSample | None = None) -> None:
+        self._buffer.append((case_id, sample))
+        self._by_case.setdefault(case_id, deque()).append(activity)
         if len(self._buffer) > self.capacity:
-            old_event, _ = self._buffer.popleft()
-            case_hist = self._by_case[old_event.case_id]
+            old_case, _ = self._buffer.popleft()
+            case_hist = self._by_case[old_case]
             case_hist.popleft()
             if not case_hist:
-                del self._by_case[old_event.case_id]
+                del self._by_case[old_case]
 
-    def activities_for_case(self, case_id: str) -> list[str]:
-        """The case's activities currently in the window, oldest first."""
-        return list(self._by_case.get(case_id, ()))
+    def activities_for_case(self, case_id: str) -> tuple[int, ...]:
+        """The case's activity indices currently in the window, oldest first."""
+        return tuple(self._by_case.get(case_id, ()))
 
     def samples(self) -> list[EncodedSample]:
         return [sample for _, sample in self._buffer if sample is not None]

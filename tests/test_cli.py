@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import cnapwp
 from cnapwp.baselines import STRATEGIES
 from cnapwp import stream as stream_mod
+from cnapwp import cli as cli_mod
 from cnapwp.cli import _resolve_strategy, load_engine_config, main, write_engine_ini
 from cnapwp.engine import EngineConfig
 from cnapwp.errors import ConfigurationError
@@ -159,6 +160,43 @@ def test_gen_external_pool(tmp_path):
     assert {ev.activity for ev in stream.events} <= {"u", "v", "w"}
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+@pytest.mark.parametrize("out, pool", [("s", "s.csv"), ("s.csv", "s.csv"), ("s", "s.tasks")])
+def test_gen_refuses_a_pool_that_is_its_output(tmp_path, capsys, monkeypatch, force, out, pool):
+    monkeypatch.chdir(tmp_path)
+    write_pool_csv(pool, [("u", "v", "w")] * 3)
+    before = Path(pool).read_bytes()
+    code = main(["gen", "--pool", f"mine={tmp_path / pool}", "--concepts", "mine", "--occurrences", "1",
+                 "--segment", "20", "--out", out, *force])
+    assert code == 2
+    err = assert_one_error_line(capsys)
+    assert "--pool" in err and "--out" in err
+    assert Path(pool).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [pool]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--concepts", "pipeline,expedite", "--occurrences", "1", "--segment", str(cli_mod.GEN_MAX_EVENTS)],
+         "--segment"),
+        (["--segment", "-5", "--occurrences", str(cli_mod.GEN_MAX_EVENTS)], "--occurrences"),
+        (["--concurrency", str(cli_mod.GEN_MAX_CONCURRENCY + 1)], "--concurrency"),
+        (["--pool-size", str(cli_mod.GEN_MAX_POOL_SIZE + 1)], "--pool-size"),
+    ],
+)
+def test_gen_refuses_sizes_above_the_caps_before_generating(tmp_path, capsys, monkeypatch, argv, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("generated past a size cap")
+
+    monkeypatch.setattr(cli_mod, "sample_pool", never)
+    monkeypatch.setattr(cli_mod, "generate_drift_stream", never)
+    assert main(["gen", "--out", str(tmp_path / "s"), *argv]) == 2
+    err = assert_one_error_line(capsys)
+    assert flag in err and "cap" in err
+    assert not any(tmp_path.iterdir())
+
+
 # -- run ------------------------------------------------------------------------
 
 
@@ -240,8 +278,8 @@ def test_run_resolves_each_sidecar_on_its_own(gen_dir, tmp_path, monkeypatch, fl
     """A flag replaces only its own sidecar; the other is still found beside the
     stream, and the CSV is parsed once."""
     parses = []
-    real_parse = stream_mod.parse_event_log
-    monkeypatch.setattr(stream_mod, "parse_event_log", lambda *a: parses.append(a) or real_parse(*a))
+    real_parse = stream_mod._parse_rows
+    monkeypatch.setattr(stream_mod, "_parse_rows", lambda *a: parses.append(a) or real_parse(*a))
     argv = ["run", "--stream", str(gen_dir / "stream.csv"), "--out", str(tmp_path / "o")]
     if flag == "--drifts":
         (tmp_path / "other.drifts").write_text("30\n")

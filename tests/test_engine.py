@@ -16,7 +16,7 @@ from cnapwp.engine import (
 )
 from cnapwp.errors import ConfigurationError
 from cnapwp.model import PREFIX_MODE, PROMPT_MODE, AttentionPredictor
-from cnapwp.preprocessing import BucketConfig
+from cnapwp.preprocessing import PAD_LABEL, BucketConfig
 from cnapwp.stream import Event, EventStream
 from cnapwp.task_recognition import PrefixTree, build_from_buffer
 
@@ -230,6 +230,28 @@ def test_vocabulary_growth_mid_consume():
     assert engine.model.input_width == 4
     assert engine.model.n_classes == 3
     assert {r.y for r in records} == {"a", "b", "c"}
+
+
+def test_pushed_samples_replay_each_cases_window_history(monkeypatch):
+    """Every sample the engine pushes holds its case's newest in-window activities,
+    as a label-level replay of the stream finds them, across evictions and a late new activity."""
+    events = tuple(Event("pqr"[(i * i) % 3], act) for i, act in enumerate("abcab" * 6 + "zabcz"))
+    engine = OnlineEngine(recognition_config(window_size=5, max_len=3), NO_PROMPT)
+    engine.prepare(EventStream(events[:10]))  # no "z" in the warm-up
+    pushed = []
+    push = engine.window.push
+
+    def recording_push(case_id, activity, sample=None):
+        pushed.append(sample)
+        push(case_id, activity, sample)
+
+    monkeypatch.setattr(engine.window, "push", recording_push)
+    engine.consume(EventStream(events))
+    assert len(pushed) == len(events) and engine.vocab.label_of(len(engine.vocab)) == "z"
+    for i, (event, sample) in enumerate(zip(events, pushed)):
+        history = [e.activity for e in events[max(0, i - 5) : i] if e.case_id == event.case_id][-3:]
+        assert [engine.vocab.label_of(a) for a in sample.activities] == [PAD_LABEL] * (3 - len(history)) + history
+        assert engine.vocab.label_of(sample.target) == event.activity
 
 
 def test_empty_preparation_falls_back_to_one_bucket():

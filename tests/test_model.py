@@ -23,7 +23,6 @@ from cnapwp.model import (
     train_window,
 )
 from cnapwp.preprocessing import ActivityVocabulary, BucketConfig, build_prefix, encode
-from cnapwp.stream import Event
 from cnapwp.window import SlidingWindow
 
 from gradcheck import parameters, prompt_parameters
@@ -288,8 +287,8 @@ def _encode_under(vocab, history, target, max_len=4):
 def build_prefix_like(history, vocab, max_len):
     window = SlidingWindow(max(1, len(history)))
     for activity in history:
-        window.push(Event("c", activity))
-    return build_prefix(Event("c", "?"), window, vocab, max_len)
+        window.push("c", vocab.intern(activity))
+    return build_prefix("c", window, max_len)
 
 
 def _logits_for(model, sample, general, expert):

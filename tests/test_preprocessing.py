@@ -15,6 +15,7 @@ from cnapwp.preprocessing import (
     build_prefix,
     encode,
     fit_buckets,
+    prefix_length,
 )
 from cnapwp.stream import Event
 from cnapwp.window import SlidingWindow
@@ -47,28 +48,27 @@ def test_build_prefix_replays_window_history():
     vocab = ActivityVocabulary()
     window = SlidingWindow(10)
     for act in ("a", "b", "c"):
-        window.push(Event("case", act))
-    window.push(Event("other", "z"))
-    prefix = build_prefix(Event("case", "next"), window, vocab, max_len=4)
-    assert prefix.effective_len == 3
-    assert [vocab.label_of(i) for i in prefix.activities] == [PAD_LABEL, "a", "b", "c"]
+        window.push("case", vocab.intern(act))
+    window.push("other", vocab.intern("z"))
+    prefix = build_prefix("case", window, max_len=4)
+    assert prefix_length(prefix) == 3
+    assert [vocab.label_of(i) for i in prefix] == [PAD_LABEL, "a", "b", "c"]
 
 
 def test_build_prefix_keeps_only_most_recent():
     vocab = ActivityVocabulary()
     window = SlidingWindow(10)
     for act in "abcdef":
-        window.push(Event("c", act))
-    prefix = build_prefix(Event("c", "g"), window, vocab, max_len=3)
-    assert prefix.effective_len == 3
-    assert [vocab.label_of(i) for i in prefix.activities] == ["d", "e", "f"]
+        window.push("c", vocab.intern(act))
+    prefix = build_prefix("c", window, max_len=3)
+    assert prefix_length(prefix) == 3
+    assert [vocab.label_of(i) for i in prefix] == ["d", "e", "f"]
 
 
 def test_build_prefix_fresh_case_is_all_padding():
-    vocab = ActivityVocabulary()
-    prefix = build_prefix(Event("new", "a"), SlidingWindow(5), vocab, max_len=3)
-    assert prefix.activities == (PAD_INDEX,) * 3
-    assert prefix.effective_len == 0
+    prefix = build_prefix("new", SlidingWindow(5), max_len=3)
+    assert prefix == (PAD_INDEX,) * 3
+    assert prefix_length(prefix) == 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,11 +83,11 @@ def test_build_prefix_matches_bruteforce_replay(acts, max_len, capacity):
     window = SlidingWindow(capacity)
     interleaved = [Event("even" if i % 2 == 0 else "odd", act) for i, act in enumerate(acts)]
     for event in interleaved:
-        window.push(event)
+        window.push(event.case_id, vocab.intern(event.activity))
     history = [e.activity for e in interleaved[-capacity:] if e.case_id == "even"][-max_len:]
-    got = build_prefix(Event("even", "t"), window, vocab, max_len)
-    assert [vocab.label_of(i) for i in got.activities] == [PAD_LABEL] * (max_len - len(history)) + history
-    assert got.effective_len == len(history)
+    got = build_prefix("even", window, max_len)
+    assert [vocab.label_of(i) for i in got] == [PAD_LABEL] * (max_len - len(history)) + history
+    assert prefix_length(got) == len(history)
 
 
 # -- encoding ---------------------------------------------------------------------
@@ -96,9 +96,9 @@ def test_build_prefix_matches_bruteforce_replay(acts, max_len, capacity):
 def test_encode_one_hot_rows():
     vocab = ActivityVocabulary(["a", "b"])
     window = SlidingWindow(5)
-    window.push(Event("c", "a"))
-    window.push(Event("c", "b"))
-    prefix = build_prefix(Event("c", "a"), window, vocab, max_len=3)
+    window.push("c", vocab.intern("a"))
+    window.push("c", vocab.intern("b"))
+    prefix = build_prefix("c", window, max_len=3)
     sample = encode(prefix, "a", vocab, BucketConfig((3,)))
     assert sample.activities == (PAD_INDEX, 1, 2)
     x = one_hot(sample.activities, vocab.width)
@@ -113,7 +113,7 @@ def test_encode_one_hot_rows():
 
 def test_encode_flags_vocabulary_growth():
     vocab = ActivityVocabulary(["a"])
-    prefix = build_prefix(Event("c", "new"), SlidingWindow(5), vocab, max_len=2)
+    prefix = build_prefix("c", SlidingWindow(5), max_len=2)
     assert vocab.width == 2
     sample = encode(prefix, "new", vocab, BucketConfig((2,)))
     assert vocab.width == 3  # the engine widens its model on this
@@ -125,8 +125,8 @@ def test_encode_flags_vocabulary_growth():
 def test_encode_assigns_bucket():
     vocab = ActivityVocabulary(["a"])
     window = SlidingWindow(5)
-    window.push(Event("c", "a"))
-    prefix = build_prefix(Event("c", "a"), window, vocab, max_len=4)
+    window.push("c", vocab.intern("a"))
+    prefix = build_prefix("c", window, max_len=4)
     sample = encode(prefix, "a", vocab, BucketConfig((0, 2, 4)))
     assert sample.bucket == 2
 

@@ -1,17 +1,9 @@
 """Built-in concept pools and trace sampling."""
-import numpy as np
 import pytest
 
 from cnapwp.errors import ConfigurationError
-from cnapwp.stream import load_concept_pool
-from cnapwp.synthetic import (
-    ProcessSpec,
-    builtin_processes,
-    pool_as_stream,
-    sample_pool,
-    sample_trace,
-    write_pool_csv,
-)
+from cnapwp.stream import load_concept_pool, parse_event_log
+from cnapwp.synthetic import ProcessSpec, builtin_processes, sample_pool, write_pool_csv
 
 
 def test_three_concepts_with_eight_variants_each():
@@ -63,11 +55,10 @@ def test_process_spec_validation():
         ProcessSpec("bad", ((1.0, ()),))
 
 
-def test_sample_trace_draws_only_declared_variants():
+def test_sample_pool_draws_only_declared_variants():
     spec = builtin_processes()["pipeline"]
     declared = {trace for _, trace in spec.variants}
-    rng = np.random.default_rng(0)
-    assert all(sample_trace(spec, rng) in declared for _ in range(50))
+    assert all(trace in declared for trace in sample_pool(spec, 50, seed=0))
 
 
 def test_sample_pool_is_deterministic_per_name():
@@ -93,12 +84,13 @@ def test_sample_pool_validation():
         sample_pool(builtin_processes()["pipeline"], 0, seed=1)
 
 
-def test_pool_as_stream_one_case_per_trace():
-    stream = pool_as_stream([("a", "b"), ("c",)], case_prefix="t")
-    assert [(e.case_id, e.activity) for e in stream.events] == [
-        ("t0", "a"),
-        ("t0", "b"),
-        ("t1", "c"),
+def test_write_pool_csv_one_case_per_trace(tmp_path):
+    path = tmp_path / "pool.csv"
+    write_pool_csv(path, [("a", "b"), ("c",)])
+    assert [(e.case_id, e.activity) for e in parse_event_log(path).events] == [
+        ("p0", "a"),
+        ("p0", "b"),
+        ("p1", "c"),
     ]
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from cnapwp.baselines import CNAPWP, STRATEGIES
 from cnapwp.engine import OnlineEngine
 from cnapwp.errors import ConfigurationError
-from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, Prefix, build_prefix, encode
-from cnapwp.stream import Event, EventStream
+from cnapwp.preprocessing import PAD_INDEX, ActivityVocabulary, BucketConfig, build_prefix, encode
+from cnapwp.stream import EventStream
 from cnapwp.window import SlidingWindow, partition_batches
 
 from test_engine import chain_stream, log_updates, recognition_config
@@ -15,10 +15,10 @@ from test_engine import chain_stream, log_updates, recognition_config
 
 def test_window_keeps_newest_capacity_events():
     window = SlidingWindow(3)
-    for i in range(5):
-        window.push(Event("c", str(i)))
+    for i in range(1, 6):
+        window.push("c", i)
     assert len(window) == 3
-    assert window.activities_for_case("c") == ["2", "3", "4"]
+    assert window.activities_for_case("c") == (3, 4, 5)
 
 
 def test_eviction_does_not_reset_the_counter(monkeypatch):
@@ -37,24 +37,23 @@ def test_eviction_does_not_reset_the_counter(monkeypatch):
 
 def test_per_case_history_tracks_eviction():
     window = SlidingWindow(3)
-    window.push(Event("a", "1"))
-    window.push(Event("b", "2"))
-    window.push(Event("a", "3"))
-    assert window.activities_for_case("a") == ["1", "3"]
-    window.push(Event("b", "4"))  # evicts a's "1"
-    assert window.activities_for_case("a") == ["3"]
-    window.push(Event("b", "5"))  # evicts b's "2"
-    window.push(Event("b", "6"))  # evicts a's "3" entirely
-    assert window.activities_for_case("a") == []
+    window.push("a", 1)
+    window.push("b", 2)
+    window.push("a", 3)
+    assert window.activities_for_case("a") == (1, 3)
+    window.push("b", 4)  # evicts a's 1
+    assert window.activities_for_case("a") == (3,)
+    window.push("b", 5)  # evicts b's 2
+    window.push("b", 6)  # evicts a's 3 entirely
+    assert window.activities_for_case("a") == ()
 
 
 def test_samples_skip_none():
     vocab = ActivityVocabulary(["a"])
     window = SlidingWindow(5)
-    prefix = build_prefix(Event("c", "a"), window, vocab, 2)
-    sample = encode(prefix, "a", vocab, BucketConfig((2,)))
-    window.push(Event("c", "a"), sample)
-    window.push(Event("c", "b"))
+    sample = encode(build_prefix("c", window, 2), "a", vocab, BucketConfig((2,)))
+    window.push("c", sample.target, sample)
+    window.push("c", vocab.intern("b"))
     assert window.samples() == [sample]
 
 
@@ -67,10 +66,10 @@ def test_window_capacity_validation():
 @given(capacity=st.integers(min_value=1, max_value=10), n=st.integers(min_value=0, max_value=60))
 def test_window_holds_the_newest_events_property(capacity, n):
     window = SlidingWindow(capacity)
-    for i in range(n):
-        window.push(Event("c", str(i)))
+    for i in range(1, n + 1):
+        window.push("c", i)
     assert len(window) == min(n, capacity)
-    assert window.activities_for_case("c") == [str(i) for i in range(max(0, n - capacity), n)]
+    assert window.activities_for_case("c") == tuple(range(max(0, n - capacity) + 1, n + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,8 +104,7 @@ def _samples_with_lengths(lengths, bucket_config):
     vocab = ActivityVocabulary(["a"])
     out = []
     for n in lengths:
-        prefix = Prefix((PAD_INDEX,) * (8 - n) + (1,) * n, n)
-        out.append(encode(prefix, "a", vocab, bucket_config))
+        out.append(encode((PAD_INDEX,) * (8 - n) + (1,) * n, "a", vocab, bucket_config))
     return out
 
 
